@@ -3,7 +3,8 @@
  * Simulator-throughput microbenchmarks (google-benchmark): how many
  * simulated instructions per second each model sustains, plus the
  * cost of trace generation and of a whole sweep batch through the
- * parallel sweep engine. These guard against performance regressions
+ * parallel sweep engine, and of the SimResult JSON round trip every
+ * result-store hit pays. These guard against performance regressions
  * in the simulators and in the sweep path every figure runs on.
  * (For a quick table without google-benchmark, run
  * `oova_bench simspeed`.)
@@ -33,6 +34,19 @@ const Trace &
 cachedTrace()
 {
     return sharedTraces().get("hydro2d");
+}
+
+/** A real OOOVA result with every telemetry block populated. */
+const SimResult &
+telemetryResult()
+{
+    static const SimResult r = [] {
+        OooConfig cfg;
+        cfg.cpiStack = true;
+        cfg.telemetry = true;
+        return simulateOoo(cachedTrace(), cfg);
+    }();
+    return r;
 }
 
 } // namespace
@@ -125,5 +139,34 @@ BM_SweepEngine(benchmark::State &state)
 // Real time, not CPU time: the engine's worker threads do the work,
 // so the main thread's CPU time would overstate throughput wildly.
 BENCHMARK(BM_SweepEngine)->Arg(1)->Arg(4)->UseRealTime();
+
+/** Writing one result record: a store write or a worker frame. */
+static void
+BM_SimResultToJson(benchmark::State &state)
+{
+    const SimResult &r = telemetryResult();
+    for (auto _ : state) {
+        std::string json = r.toJson();
+        benchmark::DoNotOptimize(json);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimResultToJson);
+
+/** Parsing one result record: the cost of every result-store hit. */
+static void
+BM_SimResultFromJson(benchmark::State &state)
+{
+    const std::string json = telemetryResult().toJson();
+    SimResult out;
+    if (!SimResult::fromJson(json, out))
+        state.SkipWithError("toJson() output does not parse back");
+    for (auto _ : state) {
+        bool ok = SimResult::fromJson(json, out);
+        benchmark::DoNotOptimize(ok);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimResultFromJson);
 
 BENCHMARK_MAIN();

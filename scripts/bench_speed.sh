@@ -5,7 +5,9 @@
 # Two sources feed the record:
 #   - the google-benchmark binary build/simspeed (single-simulation
 #     throughput per model; BM_OooSim/16 on hydro2d is the headline
-#     number perf PRs are judged by), and
+#     number perf PRs are judged by; plus BM_SimResult{To,From}Json,
+#     SimResult records serialized/parsed per second, recorded under
+#     "serialize_results_per_sec" — the cost of every store hit), and
 #   - `oova_bench simspeed --json` (sweep-engine batch throughput,
 #     the path every figure runs on).
 #
@@ -126,19 +128,24 @@ sweep = {
     for row in sec["rows"]
 }
 
-# ---- parse google-benchmark: name -> items_per_second
+# ---- parse google-benchmark: name -> items_per_second. The
+# SimResult serialization benchmarks count records, not instructions.
 micro = {}
+serialize = {}
 micro_path = os.path.join(tmp, "micro.json")
 if os.path.exists(micro_path):
     with open(micro_path) as f:
         for b in json.load(f)["benchmarks"]:
             if "items_per_second" in b:
-                micro[b["name"]] = int(b["items_per_second"])
+                kind = (serialize if b["name"].startswith("BM_SimResult")
+                        else micro)
+                kind[b["name"]] = int(b["items_per_second"])
 
 measurement = {
     "label": label,
     "scale": 0.5,
     "microbench_instr_per_sec": micro,
+    "serialize_results_per_sec": serialize,
     "sweep_instr_per_sec": sweep,
 }
 
@@ -180,21 +187,24 @@ if int(check):
     if host != 1.0:
         print(f"host-speed normalization (BM_TraceGeneration): "
               f"{host:.2f}x")
-    for kind in ("microbench_instr_per_sec", "sweep_instr_per_sec"):
+    for kind in ("microbench_instr_per_sec", "serialize_results_per_sec",
+                 "sweep_instr_per_sec"):
         for name, old in ref.get(kind, {}).items():
             new = measurement[kind].get(name)
             if not new or not old or name == "BM_TraceGeneration":
                 continue
             scaled = old * host
+            unit = ("results/s" if kind == "serialize_results_per_sec"
+                    else "instr/s")
             if new < 0.8 * scaled:
                 print(
                     f"::warning::simulator throughput regression: "
-                    f"{name} {old} -> {new} instr/s "
+                    f"{name} {old} -> {new} {unit} "
                     f"({new / scaled:.2f}x host-normalized, "
                     f"checked-in reference {ref.get('label', '?')})"
                 )
             else:
-                print(f"{name}: {old} -> {new} instr/s "
+                print(f"{name}: {old} -> {new} {unit} "
                       f"({new / scaled:.2f}x host-normalized)")
 
 record["baseline" if mode == "baseline" else "current"] = measurement

@@ -8,15 +8,15 @@ see, each of which has bitten (or nearly bitten) a past PR:
      (tests/golden/<name>.txt), so no figure dodges the output gate.
   2. Every golden belongs to a registered figure — orphans mean the
      gate is diffing against nothing.
-  3. Every SimResult field is surfaced by SimResult::toJson() in
-     src/mem/simresult.cc, so new counters cannot silently stay out
-     of the machine-readable output the perf trajectory is tracked
-     with.
-  4. Every stored SimResult field also round-trips through
-     SimResult::fromJson() — the content-addressed result store
-     persists results as toJson() text, so a counter that toJson()
-     writes but fromJson() drops would silently zero itself on every
-     store hit.
+  3. Every data member and derived accessor of struct SimResult has
+     an entry in its field table, SimResult::visitFields() in
+     src/mem/simresult.hh. toJson() and fromJson() are both derived
+     from that table, so a counter missing from it would stay out of
+     the machine-readable output and silently zero itself on every
+     result-store hit.
+  4. Every field-table entry is keyed by the name of the member it
+     serializes (f("cycles", r.cycles)), so a copy-pasted entry
+     cannot write one counter under another's JSON key.
   5. No naked new/delete outside the dedicated storage code: the
      simulator's hot-path storage is slab/sliding-queue based, and
      ad-hoc ownership has no place next to it.
@@ -118,8 +118,8 @@ for name, binary in sorted(figures.items()):
             f"bench/{binary}.cc does not exist")
 
 # ---------------------------------------------------------------
-# Rules 3 + 4: every SimResult field surfaced by toJson(), every
-# stored field round-tripped by fromJson().
+# Rules 3 + 4: every SimResult member and derived accessor is in the
+# field table, and every table entry is keyed by its member's name.
 # ---------------------------------------------------------------
 
 # Member functions of SimResult that the accessor regex sees but
@@ -127,65 +127,60 @@ for name, binary in sorted(figures.items()):
 SIMRESULT_NON_FIELDS = {"toJson"}
 
 
-def simresult_fields() -> tuple:
-    """(data members, derived accessors) of struct SimResult."""
+def simresult_struct() -> tuple:
+    """(data members, derived accessors, field-table body)."""
     src = (ROOT / "src/mem/simresult.hh").read_text()
     m = re.search(r"struct SimResult\s*\{(.*)\n\};", src, re.S)
     if not m:
         err("cannot find struct SimResult in src/mem/simresult.hh")
-        return [], []
+        return [], [], ""
     body = m.group(1)
     body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
     body = re.sub(r"//[^\n]*", "", body)
-    # Class-level constants (kResultSchemaVersion) are not result
-    # fields.
-    body = re.sub(r"^\s*static [^;]*;", "", body, flags=re.M)
-    stored = []
-    # Data members: "type name = init;" or "type name;" (incl. the
-    # braced-init arrays), one per line.
-    for dm in re.finditer(
-            r"^\s+[A-Za-z_][\w:<>, ]*?\s+(\w+)\s*(?:=[^;]*|\{\})?;",
-            body, re.M):
-        stored.append(dm.group(1))
+    table = re.search(r"visitFieldsOf\(Self &r, F &f\)\s*\{(.*?)\n    \}",
+                      body, re.S)
+    if not table:
+        err("cannot find the SimResult::visitFieldsOf() field table "
+            "in src/mem/simresult.hh")
     # Derived accessors: "type name() const".
     derived = [fm.group(1)
                for fm in re.finditer(r"(\w+)\(\)\s*const", body)
                if fm.group(1) not in SIMRESULT_NON_FIELDS]
-    return stored, derived
+    # Class-level constants (kResultSchemaVersion) are not result
+    # fields.
+    decls = re.sub(r"^\s*static [^;]*;", "", body, flags=re.M)
+    # Data members: "type name = init;" or "type name;" (incl. the
+    # braced-init arrays), one per line.
+    stored = re.findall(
+        r"^\s+[A-Za-z_][\w:<>, ]*?\s+(\w+)\s*(?:=[^;]*|\{\})?;",
+        decls, re.M)
+    return stored, derived, table.group(1) if table else ""
 
 
-stored_fields, derived_fields = simresult_fields()
+stored_fields, derived_fields, field_table = simresult_struct()
 fields = stored_fields + derived_fields
 if len(fields) < 20:
     err(f"SimResult parse found only {len(fields)} fields; the "
         "parser is broken")
 
-renderer = (ROOT / "src/mem/simresult.cc").read_text()
-to_json_at = renderer.find("SimResult::toJson")
-from_json_at = renderer.find("SimResult::fromJson")
-if to_json_at < 0 or from_json_at < 0 or from_json_at < to_json_at:
-    err("expected SimResult::toJson() followed by "
-        "SimResult::fromJson() in src/mem/simresult.cc")
-    to_json_at = from_json_at = 0
-to_json_body = renderer[to_json_at:from_json_at]
-from_json_body = renderer[from_json_at:]
-
-
-def surfaces(body: str, field: str) -> bool:
-    # The key appears either as a plain argument ("cycles") or as an
-    # escaped JSON key inside a larger literal (\"program\").
-    return (f'"{field}"' in body or f'\\"{field}\\"' in body)
-
-
+# Each entry: f("jsonKey", <expression naming r.member>).
+table_entries = re.findall(r'\bf\("(\w+)",\s*(.*?)\);', field_table,
+                           re.S)
+referenced = set()
+for key, expr in table_entries:
+    members = re.findall(r"\br\.(\w+)", expr)
+    referenced.update(members)
+    for member in members:
+        if member != key:
+            err(f"SimResult field table entry '{key}' serializes "
+                f"r.{member} — a copy-pasted entry would write one "
+                "counter under another's JSON key")
 for field in fields:
-    if not surfaces(to_json_body, field):
-        err(f"SimResult field '{field}' is not surfaced by "
-            "SimResult::toJson() in src/mem/simresult.cc")
-for field in stored_fields:
-    if not surfaces(from_json_body, field):
-        err(f"stored SimResult field '{field}' is not parsed back by "
-            "SimResult::fromJson() in src/mem/simresult.cc — a "
-            "result-store hit would silently drop it")
+    if field not in referenced:
+        err(f"SimResult field '{field}' is missing from the field "
+            "table SimResult::visitFields() in src/mem/simresult.hh "
+            "— toJson() would never write it, nor fromJson() read "
+            "it back from a result-store hit")
 
 # ---------------------------------------------------------------
 # Rule 5: no naked new/delete outside dedicated storage code.

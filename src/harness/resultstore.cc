@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -142,20 +142,22 @@ ResultStore::load(const std::string &key, SimResult &out)
         return miss();
     };
 
-    std::ifstream is(entryPath(key), std::ios::binary);
-    if (!is)
+    // One read into one buffer; the header and the body are views.
+    std::ifstream is(entryPath(key), std::ios::binary | std::ios::ate);
+    std::streamoff size = is ? std::streamoff(is.tellg()) : -1;
+    if (size < 0)
         return miss();
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (!is.good() && !is.eof())
+    std::string body(static_cast<size_t>(size), '\0');
+    if (!is.seekg(0) ||
+        !is.read(body.data(), static_cast<std::streamsize>(size)))
         return miss();
-    std::string body = buf.str();
 
-    size_t nl = body.find('\n');
-    if (nl == std::string::npos ||
-        body.substr(0, nl) != headerLine(key))
+    std::string_view view(body);
+    size_t nl = view.find('\n');
+    if (nl == std::string_view::npos ||
+        view.substr(0, nl) != headerLine(key))
         return corrupt();
-    if (!SimResult::fromJson(body.substr(nl + 1), out))
+    if (!SimResult::fromJson(view.substr(nl + 1), out))
         return corrupt();
 
     std::lock_guard<std::mutex> lock(mutex_);

@@ -1,8 +1,10 @@
 #include "mem/simresult.hh"
 
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
+#include <algorithm>
+#include <bitset>
+#include <charconv>
+#include <type_traits>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -64,198 +66,257 @@ cpiBucketName(CpiBucket bucket)
 namespace
 {
 
-std::string
-jsonString(const std::string &s)
+/** Slot labels of one JSON object, built once per process. */
+using LabelTable = std::vector<std::string>;
+
+/** Widest object the parser's seen-bitset covers. */
+constexpr size_t kMaxSlots = 64;
+
+template <typename NameFn>
+LabelTable
+makeLabels(size_t n, NameFn name)
 {
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            out += csprintf("\\u%04x", c);
-        else
-            out += c;
+    sim_assert(n <= kMaxSlots, "%zu slots in one JSON object", n);
+    LabelTable t;
+    t.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        t.emplace_back(name(i));
+    return t;
+}
+
+/** Top-level keys, in SimResult::visitFields() order. */
+const LabelTable &
+fieldNames()
+{
+    static const LabelTable t = [] {
+        std::vector<const char *> names;
+        SimResult().visitFields(
+            [&](const char *name, auto &&) { names.push_back(name); });
+        return makeLabels(names.size(),
+                          [&](size_t i) { return names[i]; });
+    }();
+    return t;
+}
+
+const LabelTable &
+keyedLabels(fieldtab::Labels which)
+{
+    static const LabelTable states =
+        makeLabels(UnitStateBreakdown::kNumStates, [](size_t i) {
+            return UnitStateBreakdown::stateName(static_cast<int>(i));
+        });
+    static const LabelTable causes =
+        makeLabels(kNumStallCauses, [](size_t i) {
+            return stallCauseName(static_cast<StallCause>(i));
+        });
+    static const LabelTable buckets =
+        makeLabels(kNumCpiBuckets, [](size_t i) {
+            return cpiBucketName(static_cast<CpiBucket>(i));
+        });
+    switch (which) {
+    case fieldtab::Labels::UnitStates:
+        return states;
+    case fieldtab::Labels::StallCauses:
+        return causes;
+    case fieldtab::Labels::CpiBuckets:
+        break;
     }
-    out += '"';
-    return out;
+    return buckets;
 }
 
-/**
- * Flat field surface of one StatDistribution / StatTimeSeries for
- * the keyed-object JSON encoding: exact integers only, one stable
- * label per slot, parsed back through parseKeyedU64.
+const LabelTable &
+occLabels()
+{
+    static const LabelTable t = makeLabels(kNumOccStructs, [](size_t i) {
+        return occStructName(static_cast<OccStruct>(i));
+    });
+    return t;
+}
+
+/*
+ * Flat slot surface of one StatDistribution / StatTimeSeries in the
+ * keyed-object encoding: exact integers only, one stable label per
+ * slot, slot(rec, i) being the member behind label i.
  */
-constexpr unsigned kDistFields = 6 + StatDistribution::kNumBuckets;
-constexpr unsigned kTsFields = 2 + StatTimeSeries::kMaxEpochs;
-
-std::string
-distFieldName(unsigned i)
+const LabelTable &
+slotLabels(const StatDistribution &)
 {
-    static const char *kScalars[6] = {"width", "samples", "sum",
-                                      "sumsq", "min",     "max"};
-    if (i < 6)
-        return kScalars[i];
-    return csprintf("b%u", i - 6);
+    static const LabelTable t =
+        makeLabels(6 + StatDistribution::kNumBuckets,
+                   [](size_t i) -> std::string {
+                       static const char *kScalars[6] = {
+                           "width", "samples", "sum",
+                           "sumsq", "min",     "max"};
+                       return i < 6 ? kScalars[i]
+                                    : csprintf("b%zu", i - 6);
+                   });
+    return t;
 }
 
-void
-distToVals(const StatDistribution &d, uint64_t *v)
+const LabelTable &
+slotLabels(const StatTimeSeries &)
 {
-    v[0] = d.width;
-    v[1] = d.samples;
-    v[2] = d.sum;
-    v[3] = d.sumSquares;
-    v[4] = d.minValue;
-    v[5] = d.maxValue;
-    for (size_t b = 0; b < StatDistribution::kNumBuckets; ++b)
-        v[6 + b] = d.buckets[b];
+    static const LabelTable t =
+        makeLabels(2 + StatTimeSeries::kMaxEpochs,
+                   [](size_t i) -> std::string {
+                       if (i < 2)
+                           return i == 0 ? "epoch" : "total";
+                       return csprintf("e%zu", i - 2);
+                   });
+    return t;
 }
 
-void
-distFromVals(StatDistribution &d, const uint64_t *v)
+template <typename Rec>
+auto &
+slot(Rec &r, size_t i)
 {
-    d.width = v[0];
-    d.samples = v[1];
-    d.sum = v[2];
-    d.sumSquares = v[3];
-    d.minValue = v[4];
-    d.maxValue = v[5];
-    for (size_t b = 0; b < StatDistribution::kNumBuckets; ++b)
-        d.buckets[b] = v[6 + b];
+    if constexpr (std::is_same_v<std::remove_const_t<Rec>,
+                                 StatDistribution>) {
+        decltype(&r.width) const scalars[] = {
+            &r.width, &r.samples, &r.sum,
+            &r.sumSquares, &r.minValue, &r.maxValue};
+        return i < 6 ? *scalars[i] : r.buckets[i - 6];
+    } else {
+        return i == 0 ? r.epochLen : i == 1 ? r.total : r.sums[i - 2];
+    }
 }
 
-std::string
-tsFieldName(unsigned i)
+/** toJson()'s output: one reserved buffer, numbers via to_chars. */
+struct JsonWriter
 {
-    if (i == 0)
-        return "epoch";
-    if (i == 1)
-        return "total";
-    return csprintf("e%u", i - 2);
-}
+    std::string out;
 
-void
-tsToVals(const StatTimeSeries &t, uint64_t *v)
-{
-    v[0] = t.epochLen;
-    v[1] = t.total;
-    for (size_t e = 0; e < StatTimeSeries::kMaxEpochs; ++e)
-        v[2 + e] = t.sums[e];
-}
+    /** Quoted string, escaping quotes, backslashes and controls. */
+    void
+    str(std::string_view s)
+    {
+        static const char kHex[] = "0123456789abcdef";
+        out += '"';
+        for (char c : s) {
+            auto u = static_cast<unsigned char>(c);
+            if (c == '"' || c == '\\')
+                out += '\\';
+            if (u < 0x20) {
+                out += "\\u00";
+                out += kHex[u >> 4];
+                out += kHex[u & 0xf];
+            } else {
+                out += c;
+            }
+        }
+        out += '"';
+    }
 
-void
-tsFromVals(StatTimeSeries &t, const uint64_t *v)
-{
-    t.epochLen = v[0];
-    t.total = v[1];
-    for (size_t e = 0; e < StatTimeSeries::kMaxEpochs; ++e)
-        t.sums[e] = v[2 + e];
-}
+    void
+    num(uint64_t v)
+    {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    }
+
+    /** printf("%.6f") of @p v, which to_chars reproduces exactly. */
+    void
+    fixed6(double v)
+    {
+        char buf[400]; // DBL_MAX in fixed notation needs 317
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                      std::chars_format::fixed, 6)
+                            .ptr);
+    }
+
+    /** "{label: count(0), label: count(1), ...}" on one line. */
+    template <typename CountFn>
+    void
+    keyed(const LabelTable &labels, CountFn count)
+    {
+        out += '{';
+        for (size_t i = 0; i < labels.size(); ++i) {
+            if (i)
+                out += ", ";
+            str(labels[i]);
+            out += ": ";
+            num(count(i));
+        }
+        out += '}';
+    }
+
+    void
+    value(fieldtab::SchemaVersion)
+    {
+        num(SimResult::kResultSchemaVersion);
+    }
+
+    void
+    value(uint64_t v)
+    {
+        num(v);
+    }
+
+    void
+    value(const std::string &s)
+    {
+        str(s);
+    }
+
+    void
+    value(fieldtab::Derived<uint64_t> d)
+    {
+        num(d.value);
+    }
+
+    void
+    value(fieldtab::Derived<double> d)
+    {
+        fixed6(d.value);
+    }
+
+    template <typename Array>
+    void
+    value(fieldtab::Keyed<Array> k)
+    {
+        keyed(keyedLabels(k.labels),
+              [&](size_t i) { return k.counts[i]; });
+    }
+
+    /** One keyed record per OccStruct, each on its own line. */
+    template <typename Rec>
+    void
+    value(const std::array<Rec, kNumOccStructs> &occ)
+    {
+        out += '{';
+        for (size_t s = 0; s < kNumOccStructs; ++s) {
+            if (s)
+                out += ',';
+            out += "\n    ";
+            str(occLabels()[s]);
+            out += ": ";
+            keyed(slotLabels(occ[s]),
+                  [&](size_t i) { return slot(occ[s], i); });
+        }
+        out += '}';
+    }
+};
 
 } // namespace
 
 std::string
 SimResult::toJson() const
 {
-    std::ostringstream os;
-    auto u64 = [&](const char *name, uint64_t v) {
-        os << "  \"" << name << "\": " << v << ",\n";
-    };
-    os << "{\n";
-    os << "  \"resultSchemaVersion\": " << kResultSchemaVersion
-       << ",\n";
-    os << "  \"program\": " << jsonString(program) << ",\n";
-    os << "  \"machine\": " << jsonString(machine) << ",\n";
-    u64("cycles", cycles);
-    u64("instructions", instructions);
-    os << "  \"stateCycles\": {";
-    for (int s = 0; s < UnitStateBreakdown::kNumStates; ++s) {
-        if (s)
-            os << ", ";
-        os << jsonString(UnitStateBreakdown::stateName(s)) << ": "
-           << stateCycles[static_cast<size_t>(s)];
-    }
-    os << "},\n";
-    u64("fu1BusyCycles", fu1BusyCycles);
-    u64("fu2BusyCycles", fu2BusyCycles);
-    u64("memBusyCycles", memBusyCycles);
-    u64("memRequests", memRequests);
-    u64("memBankConflicts", memBankConflicts);
-    u64("memConflictCycles", memConflictCycles);
-    u64("memIndexedConflicts", memIndexedConflicts);
-    u64("memIndexedConflictCycles", memIndexedConflictCycles);
-    u64("cacheHits", cacheHits);
-    u64("cacheMisses", cacheMisses);
-    u64("mshrStallCycles", mshrStallCycles);
-    u64("tlbHits", tlbHits);
-    u64("tlbMisses", tlbMisses);
-    u64("tlbIndexedMisses", tlbIndexedMisses);
-    u64("tlbMissCycles", tlbMissCycles);
-    u64("vectorLoadsEliminated", vectorLoadsEliminated);
-    u64("scalarLoadsEliminated", scalarLoadsEliminated);
-    u64("branchMispredicts", branchMispredicts);
-    u64("renameStallCycles", renameStallCycles);
-    u64("robStallCycles", robStallCycles);
-    u64("queueStallCycles", queueStallCycles);
-    u64("traps", traps);
-    os << "  \"stallCycles\": {";
-    for (unsigned c = 0; c < kNumStallCauses; ++c) {
-        if (c)
-            os << ", ";
-        os << jsonString(stallCauseName(static_cast<StallCause>(c)))
-           << ": " << stallCycles[c];
-    }
-    os << "},\n";
-    os << "  \"cpiCycles\": {";
-    for (unsigned b = 0; b < kNumCpiBuckets; ++b) {
-        if (b)
-            os << ", ";
-        os << jsonString(cpiBucketName(static_cast<CpiBucket>(b)))
-           << ": " << cpiCycles[b];
-    }
-    os << "},\n";
-    os << "  \"occupancy\": {";
-    for (size_t s = 0; s < kNumOccStructs; ++s) {
-        uint64_t vals[kDistFields];
-        distToVals(occupancy[s], vals);
-        if (s)
-            os << ",";
-        os << "\n    "
-           << jsonString(occStructName(static_cast<OccStruct>(s)))
-           << ": {";
-        for (unsigned i = 0; i < kDistFields; ++i) {
-            if (i)
-                os << ", ";
-            os << jsonString(distFieldName(i)) << ": " << vals[i];
-        }
-        os << "}";
-    }
-    os << "},\n";
-    os << "  \"occupancyTs\": {";
-    for (size_t s = 0; s < kNumOccStructs; ++s) {
-        uint64_t vals[kTsFields];
-        tsToVals(occupancyTs[s], vals);
-        if (s)
-            os << ",";
-        os << "\n    "
-           << jsonString(occStructName(static_cast<OccStruct>(s)))
-           << ": {";
-        for (unsigned i = 0; i < kTsFields; ++i) {
-            if (i)
-                os << ", ";
-            os << jsonString(tsFieldName(i)) << ": " << vals[i];
-        }
-        os << "}";
-    }
-    os << "},\n";
-    // Derived accessors, so consumers need not re-implement them.
-    os << csprintf("  \"portIdleFraction\": %.6f,\n",
-                   portIdleFraction());
-    u64("memStridedConflicts", memStridedConflicts());
-    u64("stridedTlbMisses", stridedTlbMisses());
-    os << csprintf("  \"ipc\": %.6f\n", ipc());
-    os << "}\n";
-    return os.str();
+    JsonWriter w;
+    w.out.reserve(8192); // a fully populated telemetry record: ~7 KiB
+    w.out += "{\n";
+    bool first = true;
+    visitFields([&](const char *name, const auto &field) {
+        if (!first)
+            w.out += ",\n";
+        first = false;
+        w.out += "  \"";
+        w.out += name;
+        w.out += "\": ";
+        w.value(field);
+    });
+    w.out += "\n}\n";
+    return std::move(w.out);
 }
 
 namespace
@@ -269,7 +330,7 @@ namespace
 class JsonCursor
 {
   public:
-    explicit JsonCursor(const std::string &s)
+    explicit JsonCursor(std::string_view s)
         : p_(s.data()), end_(s.data() + s.size())
     {
     }
@@ -294,61 +355,51 @@ class JsonCursor
         return p_ < end_ && *p_ == c;
     }
 
-    /** Parse a quoted string, undoing jsonString()'s escapes. */
+    /** Parse a quoted string, undoing JsonWriter::str()'s escapes. */
     bool
     str(std::string &out)
     {
         if (!lit('"'))
             return false;
         out.clear();
-        while (p_ < end_ && *p_ != '"') {
-            char c = *p_++;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (p_ >= end_)
+        for (;;) {
+            const char *run = p_;
+            while (p_ < end_ && *p_ != '"' && *p_ != '\\')
+                ++p_;
+            out.append(run, p_);
+            if (p_ == end_)
                 return false;
-            char e = *p_++;
-            switch (e) {
-            case '"':
-            case '\\':
-            case '/':
-                out += e;
-                break;
-            case 'n':
-                out += '\n';
-                break;
-            case 't':
-                out += '\t';
-                break;
-            case 'u': {
-                if (end_ - p_ < 4)
-                    return false;
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = *p_++;
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                // The writer only escapes bytes below 0x20.
-                if (v > 0xff)
-                    return false;
-                out += static_cast<char>(v);
-                break;
-            }
-            default:
+            if (*p_++ == '"')
+                return true;
+            if (!escape(out))
                 return false;
-            }
         }
-        return lit('"');
+    }
+
+    /**
+     * Parse a quoted object key. Without escapes (every key toJson()
+     * writes) @p out views the input and nothing is allocated.
+     */
+    bool
+    key(std::string_view &out)
+    {
+        ws();
+        const char *open = p_;
+        if (!lit('"'))
+            return false;
+        const char *run = p_;
+        while (p_ < end_ && *p_ != '"' && *p_ != '\\')
+            ++p_;
+        if (p_ < end_ && *p_ == '"') {
+            out = std::string_view(run, static_cast<size_t>(p_ - run));
+            ++p_;
+            return true;
+        }
+        p_ = open;
+        if (!str(escaped_))
+            return false;
+        out = escaped_;
+        return true;
     }
 
     /** Parse an unsigned decimal integer. */
@@ -356,25 +407,20 @@ class JsonCursor
     u64(uint64_t &v)
     {
         ws();
-        if (p_ >= end_ || *p_ < '0' || *p_ > '9')
-            return false;
-        char *end = nullptr;
-        errno = 0;
-        v = std::strtoull(p_, &end, 10);
-        if (end == p_ || errno == ERANGE)
+        auto [end, ec] = std::from_chars(p_, end_, v);
+        if (ec != std::errc())
             return false;
         p_ = end;
         return true;
     }
 
-    /** Validate-and-skip a number (derived double-valued keys). */
+    /** Validate-and-skip a number (derived keys). */
     bool
     skipNumber()
     {
         ws();
-        char *end = nullptr;
-        double v = std::strtod(p_, &end);
-        (void)v;
+        double v;
+        const char *end = std::from_chars(p_, end_, v).ptr;
         if (end == p_)
             return false;
         p_ = end;
@@ -398,234 +444,156 @@ class JsonCursor
             ++p_;
     }
 
+    /** Decode one escape (the backslash already consumed). */
+    bool
+    escape(std::string &out)
+    {
+        if (p_ == end_)
+            return false;
+        char e = *p_++;
+        switch (e) {
+        case '"':
+        case '\\':
+        case '/':
+            out += e;
+            return true;
+        case 'n':
+            out += '\n';
+            return true;
+        case 't':
+            out += '\t';
+            return true;
+        case 'u':
+            break;
+        default:
+            return false;
+        }
+        if (end_ - p_ < 4)
+            return false;
+        unsigned v = 0;
+        for (int i = 0; i < 4; ++i) {
+            char h = *p_++;
+            v <<= 4;
+            if (h >= '0' && h <= '9')
+                v |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                v |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                v |= static_cast<unsigned>(h - 'A' + 10);
+            else
+                return false;
+        }
+        // The writer only escapes bytes below 0x20.
+        if (v > 0xff)
+            return false;
+        out += static_cast<char>(v);
+        return true;
+    }
+
     const char *p_;
     const char *end_;
+    std::string escaped_; ///< key() storage, used only for escapes
 };
 
 /**
- * Parse one "{name: count, ...}" breakdown keyed by human-readable
- * labels, requiring every label exactly once.
+ * Parse one JSON object whose keys are exactly @p names — each once,
+ * in any order — with @p value(i) parsing the value of slot i. The
+ * key after slot i is tried against slot i + 1 first, so a record in
+ * the writer's order costs one compare per key.
  */
-template <typename NameFn>
+template <typename ValueFn>
 bool
-parseKeyedU64(JsonCursor &p, uint64_t *vals, unsigned n, NameFn name)
+parseObject(JsonCursor &p, const LabelTable &names, ValueFn value)
 {
     if (!p.lit('{'))
         return false;
-    unsigned seen = 0;
-    bool first = true;
+    std::bitset<kMaxSlots> seen;
+    size_t next = 0;
     while (!p.peek('}')) {
-        if (!first && !p.lit(','))
+        if (seen.any() && !p.lit(','))
             return false;
-        first = false;
-        std::string key;
-        uint64_t v = 0;
-        if (!p.str(key) || !p.lit(':') || !p.u64(v))
+        std::string_view key;
+        if (!p.key(key) || !p.lit(':'))
             return false;
-        bool matched = false;
-        for (unsigned i = 0; i < n; ++i) {
-            if (key == name(i)) {
-                vals[i] = v;
-                matched = true;
-                break;
-            }
-        }
-        if (!matched)
+        size_t i = next;
+        if (i >= names.size() || names[i] != key)
+            i = static_cast<size_t>(
+                std::find(names.begin(), names.end(), key) -
+                names.begin());
+        if (i == names.size() || seen[i])
             return false;
-        ++seen;
+        seen[i] = true;
+        if (!value(i))
+            return false;
+        next = i + 1;
     }
-    return p.lit('}') && seen == n;
+    return p.lit('}') && seen.count() == names.size();
 }
 
-/**
- * Parse one "{structName: {field: count, ...}, ...}" telemetry
- * object: every OccStruct label exactly once, each value a flat
- * keyed record of @p n_fields slots handed to @p apply.
- */
-template <typename NameFn, typename ApplyFn>
 bool
-parseOccupancyKeyed(JsonCursor &p, unsigned n_fields, NameFn name,
-                    ApplyFn apply)
+parseValue(JsonCursor &p, fieldtab::SchemaVersion)
 {
-    if (!p.lit('{'))
-        return false;
-    bool got[kNumOccStructs] = {};
-    bool first = true;
-    while (!p.peek('}')) {
-        if (!first && !p.lit(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!p.str(key) || !p.lit(':'))
-            return false;
-        size_t idx = kNumOccStructs;
-        for (size_t i = 0; i < kNumOccStructs; ++i) {
-            if (key == occStructName(static_cast<OccStruct>(i))) {
-                idx = i;
-                break;
-            }
-        }
-        if (idx == kNumOccStructs || got[idx])
-            return false;
-        got[idx] = true;
-        std::array<uint64_t, kDistFields + kTsFields> vals{};
-        if (!parseKeyedU64(p, vals.data(), n_fields, name))
-            return false;
-        apply(idx, vals.data());
-    }
-    if (!p.lit('}'))
-        return false;
-    for (size_t i = 0; i < kNumOccStructs; ++i)
-        if (!got[i])
-            return false;
-    return true;
+    uint64_t v = 0;
+    return p.u64(v) && v == SimResult::kResultSchemaVersion;
+}
+
+bool
+parseValue(JsonCursor &p, uint64_t &v)
+{
+    return p.u64(v);
+}
+
+bool
+parseValue(JsonCursor &p, std::string &s)
+{
+    return p.str(s);
+}
+
+template <typename T>
+bool
+parseValue(JsonCursor &p, fieldtab::Derived<T>)
+{
+    // Recomputed from the stored fields; only validated here.
+    return p.skipNumber();
+}
+
+template <typename Array>
+bool
+parseValue(JsonCursor &p, fieldtab::Keyed<Array> k)
+{
+    return parseObject(p, keyedLabels(k.labels),
+                       [&](size_t i) { return p.u64(k.counts[i]); });
+}
+
+template <typename Rec>
+bool
+parseValue(JsonCursor &p, std::array<Rec, kNumOccStructs> &occ)
+{
+    return parseObject(p, occLabels(), [&](size_t s) {
+        return parseObject(p, slotLabels(occ[s]), [&](size_t i) {
+            return p.u64(slot(occ[s], i));
+        });
+    });
 }
 
 } // namespace
 
 bool
-SimResult::fromJson(const std::string &json, SimResult &out)
+SimResult::fromJson(std::string_view json, SimResult &out)
 {
     SimResult r;
     JsonCursor p(json);
-    if (!p.lit('{'))
-        return false;
-
-    // Every stored (non-derived) field must appear exactly once;
-    // kRequired is the count of ++required sites below.
-    constexpr unsigned kRequired = 31;
-    unsigned required = 0;
-    bool sawVersion = false;
-    bool first = true;
-
-    auto field = [&](uint64_t &dst, JsonCursor &c) {
-        uint64_t v = 0;
-        if (!c.u64(v))
-            return false;
-        dst = v;
-        ++required;
-        return true;
-    };
-
-    while (!p.peek('}')) {
-        if (!first && !p.lit(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!p.str(key) || !p.lit(':'))
-            return false;
-        bool ok = true;
-        if (key == "resultSchemaVersion") {
-            uint64_t v = 0;
-            ok = p.u64(v) && v == kResultSchemaVersion;
-            sawVersion = ok;
-        } else if (key == "program") {
-            ok = p.str(r.program);
-            ++required;
-        } else if (key == "machine") {
-            ok = p.str(r.machine);
-            ++required;
-        } else if (key == "cycles") {
-            ok = field(r.cycles, p);
-        } else if (key == "instructions") {
-            ok = field(r.instructions, p);
-        } else if (key == "stateCycles") {
-            ok = parseKeyedU64(p, r.stateCycles.data(),
-                               UnitStateBreakdown::kNumStates,
-                               [](unsigned i) {
-                                   return UnitStateBreakdown::
-                                       stateName(static_cast<int>(i));
-                               });
-            ++required;
-        } else if (key == "fu1BusyCycles") {
-            ok = field(r.fu1BusyCycles, p);
-        } else if (key == "fu2BusyCycles") {
-            ok = field(r.fu2BusyCycles, p);
-        } else if (key == "memBusyCycles") {
-            ok = field(r.memBusyCycles, p);
-        } else if (key == "memRequests") {
-            ok = field(r.memRequests, p);
-        } else if (key == "memBankConflicts") {
-            ok = field(r.memBankConflicts, p);
-        } else if (key == "memConflictCycles") {
-            ok = field(r.memConflictCycles, p);
-        } else if (key == "memIndexedConflicts") {
-            ok = field(r.memIndexedConflicts, p);
-        } else if (key == "memIndexedConflictCycles") {
-            ok = field(r.memIndexedConflictCycles, p);
-        } else if (key == "cacheHits") {
-            ok = field(r.cacheHits, p);
-        } else if (key == "cacheMisses") {
-            ok = field(r.cacheMisses, p);
-        } else if (key == "mshrStallCycles") {
-            ok = field(r.mshrStallCycles, p);
-        } else if (key == "tlbHits") {
-            ok = field(r.tlbHits, p);
-        } else if (key == "tlbMisses") {
-            ok = field(r.tlbMisses, p);
-        } else if (key == "tlbIndexedMisses") {
-            ok = field(r.tlbIndexedMisses, p);
-        } else if (key == "tlbMissCycles") {
-            ok = field(r.tlbMissCycles, p);
-        } else if (key == "vectorLoadsEliminated") {
-            ok = field(r.vectorLoadsEliminated, p);
-        } else if (key == "scalarLoadsEliminated") {
-            ok = field(r.scalarLoadsEliminated, p);
-        } else if (key == "branchMispredicts") {
-            ok = field(r.branchMispredicts, p);
-        } else if (key == "renameStallCycles") {
-            ok = field(r.renameStallCycles, p);
-        } else if (key == "robStallCycles") {
-            ok = field(r.robStallCycles, p);
-        } else if (key == "queueStallCycles") {
-            ok = field(r.queueStallCycles, p);
-        } else if (key == "traps") {
-            ok = field(r.traps, p);
-        } else if (key == "stallCycles") {
-            ok = parseKeyedU64(p, r.stallCycles.data(),
-                               kNumStallCauses, [](unsigned i) {
-                                   return stallCauseName(
-                                       static_cast<StallCause>(i));
-                               });
-            ++required;
-        } else if (key == "cpiCycles") {
-            ok = parseKeyedU64(p, r.cpiCycles.data(), kNumCpiBuckets,
-                               [](unsigned i) {
-                                   return cpiBucketName(
-                                       static_cast<CpiBucket>(i));
-                               });
-            ++required;
-        } else if (key == "occupancy") {
-            ok = parseOccupancyKeyed(
-                p, kDistFields, distFieldName,
-                [&r](size_t i, const uint64_t *vals) {
-                    distFromVals(r.occupancy[i], vals);
-                });
-            ++required;
-        } else if (key == "occupancyTs") {
-            ok = parseOccupancyKeyed(
-                p, kTsFields, tsFieldName,
-                [&r](size_t i, const uint64_t *vals) {
-                    tsFromVals(r.occupancyTs[i], vals);
-                });
-            ++required;
-        } else if (key == "portIdleFraction" || key == "ipc") {
-            // Derived; validated, then recomputed from the fields.
-            ok = p.skipNumber();
-        } else if (key == "memStridedConflicts" ||
-                   key == "stridedTlbMisses") {
-            ok = p.skipNumber();
-        } else {
-            // Unknown key: a record from a different (future)
-            // schema, or corruption. Either way: not this version.
-            return false;
-        }
-        if (!ok)
-            return false;
-    }
-    if (!p.lit('}') || !p.atEnd())
-        return false;
-    if (!sawVersion || required != kRequired)
+    bool ok = parseObject(p, fieldNames(), [&](size_t want) {
+        // The table is only reachable by visiting: parse slot want.
+        size_t i = 0;
+        bool parsed = false;
+        r.visitFields([&](const char *, auto &&field) {
+            if (i++ == want)
+                parsed = parseValue(p, field);
+        });
+        return parsed;
+    });
+    if (!ok || !p.atEnd())
         return false;
     out = std::move(r);
     return true;

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -64,6 +65,43 @@ constexpr unsigned kNumCpiBuckets =
 
 /** Human-readable CPI-bucket label. */
 const char *cpiBucketName(CpiBucket bucket);
+
+/**
+ * Entry types SimResult::visitFields() hands its visitor besides
+ * plain members (u64 counters, strings, occupancy arrays).
+ */
+namespace fieldtab
+{
+
+/** The kResultSchemaVersion tag: written first, checked on parse. */
+struct SchemaVersion
+{
+};
+
+/** Label set of a keyed block ("{label: count, ...}"). */
+enum class Labels : uint8_t
+{
+    UnitStates,  ///< UnitStateBreakdown::stateName()
+    StallCauses, ///< stallCauseName()
+    CpiBuckets,  ///< cpiBucketName()
+};
+
+/** A per-label count array, serialized as one keyed block. */
+template <typename Array>
+struct Keyed
+{
+    Array &counts;
+    Labels labels;
+};
+
+/** A derived accessor: written for consumers, skipped on parse. */
+template <typename T>
+struct Derived
+{
+    T value;
+};
+
+} // namespace fieldtab
 
 /** Aggregate outcome of simulating one trace on one machine. */
 struct SimResult
@@ -171,25 +209,92 @@ struct SimResult
     }
 
     /**
+     * The field table: calls @p f(name, field) once per JSON key, in
+     * emission order. Both toJson() and fromJson() are derived from
+     * it, so a field listed here is written and parsed back, and a
+     * field missing here is neither. The scripts/lint_oova.py gate
+     * parses the struct and fails if a data member or derived
+     * accessor is missing from this table.
+     */
+    template <typename F>
+    void
+    visitFields(F &&f)
+    {
+        visitFieldsOf(*this, f);
+    }
+
+    template <typename F>
+    void
+    visitFields(F &&f) const
+    {
+        visitFieldsOf(*this, f);
+    }
+
+    /**
      * Render every field (including the derived accessors) as one
-     * JSON object, tagged with kResultSchemaVersion. The
-     * scripts/lint_oova.py gate parses the struct and fails if a
-     * field is added here without being surfaced there, so new
-     * counters cannot silently dodge the machine-readable output or
-     * the toJson()/fromJson() round trip.
+     * JSON object, tagged with kResultSchemaVersion.
      */
     std::string toJson() const;
 
     /**
      * Strict inverse of toJson(): parses one result object into
-     * @p out. Returns false — leaving @p out untouched — on
-     * malformed JSON, unknown keys, missing fields, or a schema
-     * version other than kResultSchemaVersion; the ResultStore
-     * treats every false as a cache miss. All stored fields are
-     * integers or strings, so the round trip is exact (derived
-     * double-valued keys are validated and recomputed, not stored).
+     * @p out, keys in any order. Returns false — leaving @p out
+     * untouched — on malformed JSON, unknown, missing or repeated
+     * keys, or a schema version other than kResultSchemaVersion;
+     * the ResultStore treats every false as a cache miss. All stored
+     * fields are integers or strings, so the round trip is exact
+     * (derived keys are validated and recomputed, not stored).
      */
-    static bool fromJson(const std::string &json, SimResult &out);
+    static bool fromJson(std::string_view json, SimResult &out);
+
+  private:
+    template <typename Self, typename F>
+    static void
+    visitFieldsOf(Self &r, F &f)
+    {
+        using fieldtab::Labels;
+        f("resultSchemaVersion", fieldtab::SchemaVersion{});
+        f("program", r.program);
+        f("machine", r.machine);
+        f("cycles", r.cycles);
+        f("instructions", r.instructions);
+        f("stateCycles",
+          fieldtab::Keyed{r.stateCycles, Labels::UnitStates});
+        f("fu1BusyCycles", r.fu1BusyCycles);
+        f("fu2BusyCycles", r.fu2BusyCycles);
+        f("memBusyCycles", r.memBusyCycles);
+        f("memRequests", r.memRequests);
+        f("memBankConflicts", r.memBankConflicts);
+        f("memConflictCycles", r.memConflictCycles);
+        f("memIndexedConflicts", r.memIndexedConflicts);
+        f("memIndexedConflictCycles", r.memIndexedConflictCycles);
+        f("cacheHits", r.cacheHits);
+        f("cacheMisses", r.cacheMisses);
+        f("mshrStallCycles", r.mshrStallCycles);
+        f("tlbHits", r.tlbHits);
+        f("tlbMisses", r.tlbMisses);
+        f("tlbIndexedMisses", r.tlbIndexedMisses);
+        f("tlbMissCycles", r.tlbMissCycles);
+        f("vectorLoadsEliminated", r.vectorLoadsEliminated);
+        f("scalarLoadsEliminated", r.scalarLoadsEliminated);
+        f("branchMispredicts", r.branchMispredicts);
+        f("renameStallCycles", r.renameStallCycles);
+        f("robStallCycles", r.robStallCycles);
+        f("queueStallCycles", r.queueStallCycles);
+        f("traps", r.traps);
+        f("stallCycles",
+          fieldtab::Keyed{r.stallCycles, Labels::StallCauses});
+        f("cpiCycles", fieldtab::Keyed{r.cpiCycles, Labels::CpiBuckets});
+        f("occupancy", r.occupancy);
+        f("occupancyTs", r.occupancyTs);
+        f("portIdleFraction",
+          fieldtab::Derived<double>{r.portIdleFraction()});
+        f("memStridedConflicts",
+          fieldtab::Derived<uint64_t>{r.memStridedConflicts()});
+        f("stridedTlbMisses",
+          fieldtab::Derived<uint64_t>{r.stridedTlbMisses()});
+        f("ipc", fieldtab::Derived<double>{r.ipc()});
+    }
 };
 
 } // namespace oova

@@ -9,12 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <unistd.h>
 
@@ -127,6 +132,123 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.occupancyTs, b.occupancyTs);
 }
 
+/**
+ * A JSON value as toJson() writes it: a scalar token kept verbatim
+ * (number or quoted string), or an object of (quoted key, value)
+ * members in document order.
+ */
+struct JsonNode
+{
+    std::string scalar;
+    std::vector<std::pair<std::string, JsonNode>> members;
+    bool isObject = false;
+};
+
+void
+skipWs(std::string_view &s)
+{
+    while (!s.empty() && std::isspace(static_cast<unsigned char>(s[0])))
+        s.remove_prefix(1);
+}
+
+/** A quoted string token, escapes included, verbatim. */
+std::string
+takeQuoted(std::string_view &s)
+{
+    size_t i = 1;
+    while (i < s.size() && s[i] != '"')
+        i += s[i] == '\\' ? 2 : 1;
+    std::string tok(s.substr(0, i + 1));
+    s.remove_prefix(std::min(i + 1, s.size()));
+    return tok;
+}
+
+JsonNode
+parseNode(std::string_view &s)
+{
+    JsonNode n;
+    skipWs(s);
+    if (!s.empty() && s[0] == '"') {
+        n.scalar = takeQuoted(s);
+        return n;
+    }
+    if (s.empty() || s[0] != '{') {
+        size_t end = s.find_first_of(",} \n");
+        n.scalar = std::string(s.substr(0, end));
+        s.remove_prefix(std::min(end, s.size()));
+        return n;
+    }
+    n.isObject = true;
+    s.remove_prefix(1);
+    for (skipWs(s); !s.empty() && s[0] != '}'; skipWs(s)) {
+        if (s[0] == ',')
+            s.remove_prefix(1);
+        skipWs(s);
+        std::string key = takeQuoted(s);
+        skipWs(s);
+        s.remove_prefix(1); // ':'
+        n.members.emplace_back(std::move(key), parseNode(s));
+    }
+    s.remove_prefix(std::min<size_t>(1, s.size()));
+    return n;
+}
+
+JsonNode
+parseTree(const std::string &json)
+{
+    std::string_view s(json);
+    return parseNode(s);
+}
+
+std::string
+emit(const JsonNode &n)
+{
+    if (!n.isObject)
+        return n.scalar;
+    std::string out = "{";
+    for (const auto &[key, value] : n.members) {
+        if (out.size() > 1)
+            out += ", ";
+        out += key;
+        out += ": ";
+        out += emit(value);
+    }
+    return out + "}";
+}
+
+void
+reverseKeys(JsonNode &n)
+{
+    std::reverse(n.members.begin(), n.members.end());
+    for (auto &m : n.members)
+        reverseKeys(m.second);
+}
+
+/** Every object member of @p n, as a path of member indices. */
+void
+memberPaths(const JsonNode &n, std::vector<size_t> &prefix,
+            std::vector<std::vector<size_t>> &out)
+{
+    for (size_t i = 0; i < n.members.size(); ++i) {
+        prefix.push_back(i);
+        out.push_back(prefix);
+        memberPaths(n.members[i].second, prefix, out);
+        prefix.pop_back();
+    }
+}
+
+/** Replace the first occurrence of @p from in @p s with @p to. */
+std::string
+replaceFirst(std::string s, const std::string &from,
+             const std::string &to)
+{
+    size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        s.replace(at, from.size(), to);
+    return s;
+}
+
 /** Fresh per-test store directory under the build tree. */
 std::string
 makeStoreDir(const char *tag)
@@ -190,6 +312,81 @@ TEST(SimResultRoundTrip, RejectsMalformedInput)
     at = extra.find("\"cycles\"");
     extra.insert(at, "\"mysteryCounter\": 7,\n  ");
     EXPECT_FALSE(SimResult::fromJson(extra, out));
+    // A repeated key standing in for a missing one, at the top level
+    // and inside each kind of keyed block: the record is one field
+    // short, so it must not parse as a (silently zeroed) hit.
+    EXPECT_FALSE(SimResult::fromJson(
+        replaceFirst(good, "\"instructions\"", "\"cycles\""), out));
+    EXPECT_FALSE(SimResult::fromJson(
+        replaceFirst(good,
+                     "\"" + UnitStateBreakdown::stateName(1) + "\"",
+                     "\"" + UnitStateBreakdown::stateName(0) + "\""),
+        out));
+    EXPECT_FALSE(SimResult::fromJson(
+        replaceFirst(good, "\"b1\"", "\"b0\""), out));
+    EXPECT_FALSE(SimResult::fromJson(
+        replaceFirst(good, "\"e1\"", "\"e0\""), out));
+}
+
+TEST(SimResultRoundTrip, AnyKeyOrderParsesToTheSameRecord)
+{
+    SimResult in = fullyPopulatedResult();
+    JsonNode tree = parseTree(in.toJson());
+    // The re-emitted tree parses as is, so a failure below is the
+    // key order's doing, not the re-emitter's.
+    SimResult out;
+    ASSERT_TRUE(SimResult::fromJson(emit(tree), out));
+    expectSameResult(in, out);
+
+    // Reversed at the top level and inside every keyed block: no
+    // key sits where the writer put it.
+    reverseKeys(tree);
+    out = SimResult();
+    ASSERT_TRUE(SimResult::fromJson(emit(tree), out));
+    expectSameResult(in, out);
+    EXPECT_EQ(in.toJson(), out.toJson());
+}
+
+TEST(SimResultRoundTrip, EveryKeyIsRequired)
+{
+    JsonNode tree = parseTree(fullyPopulatedResult().toJson());
+    std::vector<size_t> prefix;
+    std::vector<std::vector<size_t>> paths;
+    memberPaths(tree, prefix, paths);
+    // Top level plus every label and slot of every keyed block.
+    ASSERT_GT(paths.size(), 500u);
+    SimResult out;
+    for (const auto &path : paths) {
+        JsonNode cut = tree;
+        JsonNode *parent = &cut;
+        for (size_t d = 0; d + 1 < path.size(); ++d)
+            parent = &parent->members[path[d]].second;
+        std::string key = parent->members[path.back()].first;
+        parent->members.erase(parent->members.begin() +
+                              static_cast<std::ptrdiff_t>(path.back()));
+        EXPECT_FALSE(SimResult::fromJson(emit(cut), out))
+            << "parsed without " << key << " (depth " << path.size()
+            << ")";
+    }
+}
+
+TEST(SimResultRoundTrip, OnDiskFormatIsPinned)
+{
+    // Captured from toJson() of fullyPopulatedResult() at schema
+    // version 3. Existing store entries stay valid only while the
+    // writer reproduces it byte for byte.
+    std::ifstream is(OOVA_TEST_DATA_DIR "/simresult_v3.json",
+                     std::ios::binary);
+    ASSERT_TRUE(is) << "missing tests/data/simresult_v3.json";
+    std::stringstream buf;
+    buf << is.rdbuf();
+    std::string fixture = buf.str();
+
+    SimResult parsed;
+    ASSERT_TRUE(SimResult::fromJson(fixture, parsed));
+    expectSameResult(fullyPopulatedResult(), parsed);
+    EXPECT_EQ(parsed.toJson(), fixture);
+    EXPECT_EQ(fullyPopulatedResult().toJson(), fixture);
 }
 
 TEST(SimResultRoundTrip, RejectsForeignSchemaVersion)
