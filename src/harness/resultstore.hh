@@ -1,9 +1,9 @@
 /**
  * @file
- * The content-addressed result store of the sweep farm (ROADMAP
- * "Sweep farm" item): simulation results are pure functions of
- * (trace bytes, full machine configuration, trace scale, result
- * schema), so they can be persisted once and served forever.
+ * The content-addressed result store of the sweep engine: simulation
+ * results are pure functions of (trace bytes, full machine
+ * configuration, trace scale, result schema), so they can be
+ * persisted once and served forever.
  *
  * Layout: one file per key under the store directory —
  *
@@ -88,7 +88,7 @@ class ResultStore
      * missing entry is a plain miss; a present-but-unusable one
      * (torn, mis-keyed, schema-mismatched, garbage) is quarantined —
      * renamed to <key>.bad, preserved for post-mortem, counted in
-     * StoreStats::quarantined — and then also a miss, so the farm
+     * StoreStats::quarantined — and then also a miss, so the sweep
      * re-simulates and the next store() heals the entry. The rename
      * is atomic, so concurrent readers of a corrupt entry quarantine
      * it exactly once. Counts into stats(). Thread-safe.
@@ -98,7 +98,7 @@ class ResultStore
     /**
      * Persist @p res under @p key (temp file + atomic rename) and
      * append to the index. Failures warn and leave the store
-     * consistent — the farm can always fall back to simulating.
+     * consistent — the sweep can always fall back to simulating.
      * Thread-safe; concurrent writers of one key all win (the entry
      * is a pure function of the key, so every version is identical).
      */

@@ -18,8 +18,10 @@
 #include "harness/backend.hh"
 #include "harness/experiment.hh"
 #include "harness/figure.hh"
+#include "harness/resultstore.hh"
 #include "harness/sweep.hh"
 #include "harness/tracecache.hh"
+#include "tempdir.hh"
 
 using namespace oova;
 
@@ -121,16 +123,19 @@ TEST(SweepEngine, ZeroThreadsMeansHardwareConcurrency)
     EXPECT_GE(engine.threads(), 1u);
 }
 
-TEST(SweepEngine, ProgressFiresPerJobThroughForkedBackend)
+namespace
 {
-    // --progress must keep working when results stream back from
-    // forked worker processes: one callback per completed job, with
-    // a monotone done count reaching the batch size.
-    TraceCache traces(kTestScale);
-    std::vector<SweepJob> jobs = testBatch(traces);
-    SweepEngine engine(traces,
-                       std::make_unique<ForkedBackend>(traces, 2));
 
+/**
+ * Run testBatch() through @p engine with a progress callback and
+ * check what --progress relies on: one callback per completed job,
+ * every one reporting the batch size, with a done count that reaches
+ * it.
+ */
+void
+expectProgressPerJob(SweepEngine &engine, const TraceCache &traces)
+{
+    std::vector<SweepJob> jobs = testBatch(traces);
     std::atomic<size_t> calls{0};
     std::atomic<size_t> maxDone{0};
     std::atomic<size_t> badTotal{0};
@@ -148,6 +153,26 @@ TEST(SweepEngine, ProgressFiresPerJobThroughForkedBackend)
     EXPECT_EQ(calls.load(), jobs.size());
     EXPECT_EQ(maxDone.load(), jobs.size());
     EXPECT_EQ(badTotal.load(), 0u);
+}
+
+} // namespace
+
+TEST(SweepEngine, ProgressFiresPerJob)
+{
+    TraceCache traces(kTestScale);
+    SweepEngine threads(
+        traces, std::make_unique<InProcessBackend>(traces, 2));
+    expectProgressPerJob(threads, traces);
+
+    // Through the store decorator over a cold store every job is a
+    // miss, so the inner pool's callbacks must reach the engine.
+    TempDir dir("progress");
+    ResultStore store(dir.path());
+    SweepEngine stored(
+        traces, std::make_unique<StoreBackend>(
+                    store, traces,
+                    std::make_unique<InProcessBackend>(traces, 2)));
+    expectProgressPerJob(stored, traces);
 }
 
 TEST(JobSet, IndicesReadBackAfterRun)
@@ -279,20 +304,12 @@ TEST(FigureRegistry, AllFiguresRegisteredAndFindable)
 {
     const auto &registry = figureRegistry();
     EXPECT_EQ(registry.size(), 23u);
-    EXPECT_EQ(findFigure("cpistack"), findFigure("cpi_stack"));
-    EXPECT_EQ(findFigure("occupancy"), findFigure("occupancy_hist"));
-    EXPECT_NE(findFigure("occupancy"), nullptr);
-    EXPECT_NE(findFigure("cpistack"), nullptr);
-    EXPECT_NE(findFigure("fig5"), nullptr);
-    EXPECT_NE(findFigure("fig5_speedup"), nullptr);
-    EXPECT_EQ(findFigure("fig5"), findFigure("fig5_speedup"));
-    EXPECT_NE(findFigure("membank"), nullptr);
-    EXPECT_NE(findFigure("mem_stride"), nullptr);
-    EXPECT_EQ(findFigure("memlat"), findFigure("mem_latbanks"));
-    EXPECT_EQ(findFigure("memunits"), findFigure("mem_units"));
-    EXPECT_EQ(findFigure("memgather"), findFigure("mem_gather"));
-    EXPECT_EQ(findFigure("memtlb"), findFigure("mem_tlb"));
-    EXPECT_NE(findFigure("memtlb"), nullptr);
+    for (const FigureDef &fig : registry)
+        EXPECT_EQ(findFigure(fig.name), &fig) << fig.name;
+    // Figures are found by their short id only; the names of the
+    // retired per-figure binaries are not aliases.
+    EXPECT_EQ(findFigure("fig5_speedup"), nullptr);
+    EXPECT_EQ(findFigure("cpi_stack"), nullptr);
     EXPECT_EQ(findFigure("nope"), nullptr);
 }
 
@@ -372,20 +389,11 @@ TEST(FigureFlags, UnknownFlagIsNotConsumed)
 TEST(FigureFlags, ParsesSweepFarmFlags)
 {
     FigureOptions opts;
-    EXPECT_EQ(parseAll({"--workers", "4", "--store", "/tmp/st",
-                        "--store-stats"},
-                       opts),
+    EXPECT_EQ(parseAll({"--store", "/tmp/st", "--store-stats"}, opts),
               1);
-    EXPECT_TRUE(opts.workersSet);
-    EXPECT_EQ(opts.workers, 4u);
     EXPECT_EQ(opts.storeDir, "/tmp/st");
     EXPECT_TRUE(opts.storeStats);
-    EXPECT_FALSE(opts.threadsSet);
 
-    // --workers shares the --threads validation wholesale.
-    EXPECT_EQ(parseAll({"--workers", "-3"}, opts), -1);
-    EXPECT_EQ(parseAll({"--workers", "4x"}, opts), -1);
-    EXPECT_EQ(parseAll({"--workers"}, opts), -1);
     EXPECT_EQ(parseAll({"--store"}, opts), -1);
     EXPECT_EQ(parseAll({"--store", ""}, opts), -1);
 }
@@ -422,12 +430,11 @@ TEST(FigureFlags, ParsesTelemetryFlags)
 TEST(FigureFlags, AcceptsEqualsSpellings)
 {
     FigureOptions opts;
-    EXPECT_EQ(parseAll({"--threads=8", "--workers=2", "--scale=0.5",
+    EXPECT_EQ(parseAll({"--threads=8", "--scale=0.5",
                         "--store=/tmp/st2"},
                        opts),
               1);
     EXPECT_EQ(opts.threads, 8u);
-    EXPECT_EQ(opts.workers, 2u);
     EXPECT_EQ(opts.scale, 0.5);
     EXPECT_EQ(opts.storeDir, "/tmp/st2");
     EXPECT_EQ(parseAll({"--threads="}, opts), -1);
@@ -436,20 +443,9 @@ TEST(FigureFlags, AcceptsEqualsSpellings)
 
 TEST(FigureFlags, ValidateRejectsAmbiguousCombinations)
 {
-    // --threads and --workers pick competing backends; there is no
-    // sensible precedence, so the combination is an explicit error.
-    FigureOptions opts;
-    ASSERT_EQ(parseAll({"--threads", "2", "--workers", "2"}, opts),
-              1);
-    EXPECT_FALSE(validateFigureOptions(opts));
-
     FigureOptions threadsOnly;
     ASSERT_EQ(parseAll({"--threads", "2"}, threadsOnly), 1);
     EXPECT_TRUE(validateFigureOptions(threadsOnly));
-
-    FigureOptions workersOnly;
-    ASSERT_EQ(parseAll({"--workers", "2"}, workersOnly), 1);
-    EXPECT_TRUE(validateFigureOptions(workersOnly));
 
     // --store-stats without a store has nothing to report on.
     FigureOptions statsOnly;
@@ -463,61 +459,8 @@ TEST(FigureFlags, ValidateRejectsAmbiguousCombinations)
     EXPECT_TRUE(validateFigureOptions(storeAndStats));
 }
 
-TEST(FigureFlags, ParsesSupervisionFlags)
-{
-    FigureOptions opts;
-    EXPECT_EQ(parseAll({"--workers", "4", "--job-timeout-ms", "5000",
-                        "--max-retries", "3"},
-                       opts),
-              1);
-    EXPECT_TRUE(opts.jobTimeoutSet);
-    EXPECT_EQ(opts.jobTimeoutMs, 5000u);
-    EXPECT_TRUE(opts.maxRetriesSet);
-    EXPECT_EQ(opts.maxRetries, 3u);
-    EXPECT_TRUE(validateFigureOptions(opts));
-
-    // The --flag=value spellings work like everywhere else.
-    FigureOptions eq;
-    EXPECT_EQ(parseAll({"--workers=2", "--job-timeout-ms=250",
-                        "--max-retries=1"},
-                       eq),
-              1);
-    EXPECT_EQ(eq.jobTimeoutMs, 250u);
-    EXPECT_EQ(eq.maxRetries, 1u);
-
-    // A zero timeout (watchdog that fires never/always?) and zero
-    // retries ("fail on the first hiccup" is spelled by not using a
-    // farm) are ambiguous: rejected like the other zero values, as
-    // are the usual malformed spellings.
-    EXPECT_EQ(parseAll({"--job-timeout-ms", "0"}, opts), -1);
-    EXPECT_EQ(parseAll({"--job-timeout-ms", "-5"}, opts), -1);
-    EXPECT_EQ(parseAll({"--job-timeout-ms", "50x"}, opts), -1);
-    EXPECT_EQ(parseAll({"--job-timeout-ms"}, opts), -1);
-    EXPECT_EQ(parseAll({"--max-retries", "0"}, opts), -1);
-    EXPECT_EQ(parseAll({"--max-retries", "-1"}, opts), -1);
-    EXPECT_EQ(parseAll({"--max-retries", "2x"}, opts), -1);
-    EXPECT_EQ(parseAll({"--max-retries"}, opts), -1);
-}
-
 TEST(FigureFlags, SupervisionAndFsyncNeedTheirSubsystem)
 {
-    // Supervision tunes the forked supervisor: without --workers
-    // there is nothing to supervise, so the flags are an error, not
-    // silently inert.
-    FigureOptions timeoutOnly;
-    ASSERT_EQ(parseAll({"--job-timeout-ms", "100"}, timeoutOnly), 1);
-    EXPECT_FALSE(validateFigureOptions(timeoutOnly));
-
-    FigureOptions retriesOnly;
-    ASSERT_EQ(parseAll({"--max-retries", "1"}, retriesOnly), 1);
-    EXPECT_FALSE(validateFigureOptions(retriesOnly));
-
-    FigureOptions withThreads;
-    ASSERT_EQ(parseAll({"--threads", "2", "--job-timeout-ms", "100"},
-                       withThreads),
-              1);
-    EXPECT_FALSE(validateFigureOptions(withThreads));
-
     // --store-fsync without --store has nothing to sync.
     FigureOptions fsyncOnly;
     ASSERT_EQ(parseAll({"--store-fsync"}, fsyncOnly), 1);
@@ -529,30 +472,6 @@ TEST(FigureFlags, SupervisionAndFsyncNeedTheirSubsystem)
               1);
     EXPECT_TRUE(fsyncStore.storeFsync);
     EXPECT_TRUE(validateFigureOptions(fsyncStore));
-}
-
-TEST(FigureMain, UnknownFigureAndBadFlagsExitNonZero)
-{
-    // runFigureMain is the entry point of every per-figure binary
-    // (and the oova_bench driver shares its flag parser): a typoed
-    // figure id or malformed flag must fail loudly for CI.
-    const char *bad_fig[] = {"prog"};
-    EXPECT_EQ(runFigureMain("nosuchfigure", 1,
-                            const_cast<char **>(bad_fig)),
-              2);
-    const char *bad_threads[] = {"prog", "--threads", "-3"};
-    EXPECT_EQ(runFigureMain("fig4", 3,
-                            const_cast<char **>(bad_threads)),
-              2);
-    const char *bad_scale[] = {"prog", "--scale", "0"};
-    EXPECT_EQ(runFigureMain("fig4", 3,
-                            const_cast<char **>(bad_scale)),
-              2);
-    const char *ambiguous[] = {"prog", "--threads", "2", "--workers",
-                               "2"};
-    EXPECT_EQ(runFigureMain("fig4", 5,
-                            const_cast<char **>(ambiguous)),
-              2);
 }
 
 TEST(FigureRegistry, FigureOutputIdenticalAcrossThreadCounts)
@@ -568,6 +487,46 @@ TEST(FigureRegistry, FigureOutputIdenticalAcrossThreadCounts)
         renderFigureText(*fig, fig->fn(parallel), traces.scale());
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("== Figure 6"), std::string::npos);
+}
+
+TEST(FigureJson, ManifestEnvelopeIsSchemaV5)
+{
+    const FigureDef *fig = findFigure("tab1");
+    ASSERT_NE(fig, nullptr);
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 1);
+    FigureResult result = fig->fn(engine);
+    auto render = [&](const RunManifest *manifest) {
+        return renderFigureJson(*fig, result, traces.scale(),
+                                engine.threads(), manifest);
+    };
+    constexpr size_t npos = std::string::npos;
+
+    RunManifest manifest;
+    manifest.scale = traces.scale();
+    manifest.threads = engine.threads();
+    manifest.backend = engine.backendName();
+    manifest.jobs = {{"hydro2d", "REF", 1.5, false}};
+    std::string plain = render(&manifest);
+    EXPECT_NE(plain.find("\"schemaVersion\": 5,"), npos);
+    EXPECT_NE(plain.find("\"backend\": \"in-process x1\""), npos);
+    EXPECT_NE(plain.find("{\"program\": \"hydro2d\", \"machine\": "
+                         "\"REF\", \"wallMs\": 1.500, "
+                         "\"cached\": false}"),
+              npos);
+    EXPECT_EQ(plain.find("\"faults\""), npos);
+    EXPECT_EQ(plain.find("\"store\""), npos)
+        << "no store block without a store";
+
+    manifest.hasStore = true;
+    manifest.store.hits = 7;
+    manifest.store.quarantined = 1;
+    std::string stored = render(&manifest);
+    EXPECT_NE(stored.find("\"store\": {\"hits\": 7,"), npos);
+    EXPECT_NE(stored.find("\"quarantined\": 1}"), npos);
+    EXPECT_EQ(stored.find("\"faults\""), npos);
+
+    EXPECT_EQ(render(nullptr).find("\"manifest\""), npos);
 }
 
 TEST(SimResultJsonTest, SurfacesEveryCounter)

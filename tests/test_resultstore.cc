@@ -1,10 +1,9 @@
 /**
  * @file
- * Sweep-farm result store tests: the exact toJson()/fromJson()
- * round trip the store persists records through, key stability and
- * sensitivity, hit/miss/corruption behaviour of the on-disk store,
- * concurrent writers, and warm-vs-cold equality through the
- * StoreBackend.
+ * Result store tests: the exact toJson()/fromJson() round trip the
+ * store persists records through, key stability and sensitivity,
+ * hit/miss/corruption behaviour of the on-disk store, concurrent
+ * writers, and warm-vs-cold equality through the StoreBackend.
  */
 
 #include <gtest/gtest.h>
@@ -16,12 +15,9 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/pipetrace.hh"
@@ -30,6 +26,7 @@
 #include "harness/figure.hh"
 #include "harness/resultstore.hh"
 #include "harness/sweep.hh"
+#include "tempdir.hh"
 #include "trace/trace_io.hh"
 
 using namespace oova;
@@ -247,19 +244,6 @@ replaceFirst(std::string s, const std::string &from,
     if (at != std::string::npos)
         s.replace(at, from.size(), to);
     return s;
-}
-
-/** Fresh per-test store directory under the build tree. */
-std::string
-makeStoreDir(const char *tag)
-{
-    std::string dir =
-        csprintf(".teststore-%s-%d", tag, static_cast<int>(getpid()));
-    // Each test uses a distinct tag, so collisions only come from a
-    // previous crashed run of the same test; start clean anyway.
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    return dir;
 }
 
 } // namespace
@@ -485,7 +469,8 @@ TEST(ResultStoreKey, TraceContentHashTracksContent)
 
 TEST(ResultStore, RoundTripHitMatchesStoredResult)
 {
-    ResultStore store(makeStoreDir("roundtrip"));
+    TempDir dir("roundtrip");
+    ResultStore store(dir.path());
     SimResult in = fullyPopulatedResult();
     std::string key = ResultStore::makeKey(0xabcd, "cfg", 0.25);
 
@@ -505,13 +490,13 @@ TEST(ResultStore, RoundTripHitMatchesStoredResult)
 
 TEST(ResultStore, CorruptAndMismatchedEntriesAreQuarantined)
 {
-    std::string dir = makeStoreDir("corrupt");
-    ResultStore store(dir);
+    TempDir dir("corrupt");
+    ResultStore store(dir.path());
     SimResult in = fullyPopulatedResult();
     std::string key = ResultStore::makeKey(0xabcd, "cfg", 0.25);
     store.store(key, in);
-    std::string path = dir + "/" + key + ".json";
-    std::string badPath = dir + "/" + key + ".bad";
+    std::string path = dir.path() + "/" + key + ".json";
+    std::string badPath = dir.path() + "/" + key + ".bad";
 
     // Truncated mid-record: a miss, and the evidence is preserved —
     // the entry moves to <key>.bad instead of staying behind as a
@@ -541,11 +526,11 @@ TEST(ResultStore, CorruptAndMismatchedEntriesAreQuarantined)
     // or a header/key mismatch from a foreign store version): a
     // quarantined miss too.
     std::string otherKey = ResultStore::makeKey(0xabce, "cfg", 0.25);
-    std::string otherPath = dir + "/" + otherKey + ".json";
+    std::string otherPath = dir.path() + "/" + otherKey + ".json";
     ASSERT_EQ(std::rename(path.c_str(), otherPath.c_str()), 0);
     EXPECT_FALSE(store.load(otherKey, out));
     EXPECT_TRUE(
-        std::filesystem::exists(dir + "/" + otherKey + ".bad"));
+        std::filesystem::exists(dir.path() + "/" + otherKey + ".bad"));
 
     // Plain garbage: quarantined miss.
     {
@@ -564,10 +549,10 @@ TEST(ResultStore, CorruptAndMismatchedEntriesAreQuarantined)
 
 TEST(ResultStore, TornIndexTailIsRepairedAndTolerated)
 {
-    std::string dir = makeStoreDir("tornindex");
+    TempDir dir("tornindex");
     std::string k1, k2;
     {
-        ResultStore store(dir);
+        ResultStore store(dir.path());
         SimResult in = fullyPopulatedResult();
         k1 = ResultStore::makeKey(21, "cfg", 0.25);
         k2 = ResultStore::makeKey(22, "cfg", 0.25);
@@ -576,7 +561,7 @@ TEST(ResultStore, TornIndexTailIsRepairedAndTolerated)
     }
     // Tear the tail the way a killed appender would: drop the last
     // line's second half, newline included.
-    std::string idxPath = dir + "/index.log";
+    std::string idxPath = dir.path() + "/index.log";
     {
         std::ifstream is(idxPath, std::ios::binary);
         std::ostringstream buf;
@@ -592,7 +577,7 @@ TEST(ResultStore, TornIndexTailIsRepairedAndTolerated)
     // Reopening repairs the tail (terminates the partial line) and
     // everything still works: both entries load, and the cap's
     // index replay does not trip over the torn record.
-    ResultStore store(dir);
+    ResultStore store(dir.path());
     SimResult out;
     EXPECT_TRUE(store.load(k1, out));
     EXPECT_TRUE(store.load(k2, out));
@@ -612,7 +597,8 @@ TEST(ResultStore, TornIndexTailIsRepairedAndTolerated)
 
 TEST(ResultStore, FsyncRoundTripsUnchanged)
 {
-    ResultStore store(makeStoreDir("fsync"));
+    TempDir dir("fsync");
+    ResultStore store(dir.path());
     store.setFsync(true);
     SimResult in = fullyPopulatedResult();
     std::string key = ResultStore::makeKey(31, "cfg", 0.25);
@@ -624,7 +610,8 @@ TEST(ResultStore, FsyncRoundTripsUnchanged)
 
 TEST(ResultStore, ConcurrentWritersOfOneKeyAllWin)
 {
-    ResultStore store(makeStoreDir("concurrent"));
+    TempDir dir("concurrent");
+    ResultStore store(dir.path());
     SimResult in = fullyPopulatedResult();
     std::string key = ResultStore::makeKey(0x7777, "cfg", 0.25);
 
@@ -644,7 +631,8 @@ TEST(ResultStore, ConcurrentWritersOfOneKeyAllWin)
 
 TEST(ResultStore, CapLeavesEntriesBelowItAlone)
 {
-    ResultStore store(makeStoreDir("capunder"));
+    TempDir dir("capunder");
+    ResultStore store(dir.path());
     // Far above what two entries occupy: nothing may be evicted,
     // and both stay warm hits.
     store.setMaxBytes(64 * 1024 * 1024);
@@ -663,7 +651,8 @@ TEST(ResultStore, CapLeavesEntriesBelowItAlone)
 
 TEST(ResultStore, CapEvictsOldestFirstAsCleanMisses)
 {
-    ResultStore store(makeStoreDir("capover"));
+    TempDir dir("capover");
+    ResultStore store(dir.path());
     SimResult in = fullyPopulatedResult();
     std::string k0 = ResultStore::makeKey(10, "cfg", 0.25);
     std::string k1 = ResultStore::makeKey(11, "cfg", 0.25);
@@ -701,7 +690,7 @@ TEST(ResultStore, CapEvictsOldestFirstAsCleanMisses)
 
 TEST(StoreBackend, WarmRunEqualsColdRunFieldForField)
 {
-    std::string dir = makeStoreDir("backend");
+    TempDir dir("backend");
     TraceCache traces(kScale);
     std::vector<SweepJob> jobs;
     for (const char *prog : {"hydro2d", "nasa7"}) {
@@ -710,7 +699,7 @@ TEST(StoreBackend, WarmRunEqualsColdRunFieldForField)
         jobs.push_back(idealJob(prog));
     }
 
-    ResultStore store(dir);
+    ResultStore store(dir.path());
     SweepEngine cold(
         traces, std::make_unique<StoreBackend>(
                     store, traces,
@@ -722,7 +711,7 @@ TEST(StoreBackend, WarmRunEqualsColdRunFieldForField)
 
     // A fresh store object over the same directory (a new process
     // in real sweeps) must serve every job without simulating.
-    ResultStore warmStore(dir);
+    ResultStore warmStore(dir.path());
     SweepEngine warm(
         traces, std::make_unique<StoreBackend>(
                     warmStore, traces,
@@ -744,7 +733,7 @@ TEST(StoreBackend, WarmRunEqualsColdRunFieldForField)
 
 TEST(StoreBackend, InlineTraceJobsAreCacheable)
 {
-    std::string dir = makeStoreDir("inline");
+    TempDir dir("inline");
     TraceCache traces(kScale);
     auto trace = std::make_shared<Trace>(traces.get("hydro2d"));
     std::vector<SweepJob> jobs = {
@@ -752,7 +741,7 @@ TEST(StoreBackend, InlineTraceJobsAreCacheable)
         refTraceJob(trace, makeRefConfig(50)),
     };
 
-    ResultStore store(dir);
+    ResultStore store(dir.path());
     StoreBackend backend(
         store, traces, std::make_unique<InProcessBackend>(traces, 1));
     std::vector<JobOutcome> first = backend.run(jobs);
@@ -770,7 +759,7 @@ TEST(StoreBackend, InlineTraceJobsAreCacheable)
 
 TEST(StoreBackend, UncacheableJobsBypassTheStore)
 {
-    std::string dir = makeStoreDir("bypass");
+    TempDir dir("bypass");
     TraceCache traces(kScale);
     SweepJob job{"hydro2d",
                  [](const Trace &t) {
@@ -781,7 +770,7 @@ TEST(StoreBackend, UncacheableJobsBypassTheStore)
                  },
                  nullptr, std::string()};
 
-    ResultStore store(dir);
+    ResultStore store(dir.path());
     StoreBackend backend(
         store, traces, std::make_unique<InProcessBackend>(traces, 1));
     backend.run({job});
