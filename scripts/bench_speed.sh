@@ -143,6 +143,7 @@ if os.path.exists(micro_path):
 
 measurement = {
     "label": label,
+    "nproc": os.cpu_count(),
     "scale": 0.5,
     "microbench_instr_per_sec": micro,
     "serialize_results_per_sec": serialize,

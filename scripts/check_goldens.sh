@@ -11,7 +11,14 @@
 #
 # Usage:
 #   scripts/check_goldens.sh [path/to/oova_bench]            # check
+#   scripts/check_goldens.sh [path/to/oova_bench] --one-process
 #   scripts/check_goldens.sh [path/to/oova_bench] --update   # re-capture
+#
+# The default check runs each figure in its own process. --one-process
+# runs `oova_bench all` once, cuts its output at the "== <title> =="
+# banners and diffs each section instead: the figures then share one
+# sweep engine, so state carried from one figure to the next (the
+# engine's result memo) is gated too.
 #
 # simspeed is exempt: it prints wall-clock timings.
 
@@ -57,6 +64,38 @@ if [ "$MODE" = "--update" ]; then
     exit 0
 fi
 
+if [ "$MODE" = "--one-process" ]; then
+    sections="$(mktemp -d)"
+    trap 'rm -rf "$sections"' EXIT
+    if ! "$BENCH" all > "$sections/all.out"; then
+        echo "check_goldens: '$BENCH all' failed" >&2
+        exit 1
+    fi
+    # First input: the --list lines (name, then title); second: the
+    # `all` output, each line appended to the section of the last
+    # banner seen.
+    "$BENCH" --list | awk -v dir="$sections" '
+        NR == FNR {
+            title = $0
+            sub(/^[^ ]+ +/, "", title)
+            fig["== " title " =="] = $1
+            next
+        }
+        $0 in fig { out = dir "/" fig[$0] ".txt" }
+        out != "" { print > out }
+    ' - "$sections/all.out" || exit 2
+fi
+
+# The text of figure $1: its own run, or its section of `all`.
+figure_text() {
+    if [ "$MODE" = "--one-process" ]; then
+        cat "$sections/$1.txt" 2> /dev/null ||
+            echo "(no '$1' section in the output of '$BENCH all')"
+    else
+        "$BENCH" "$1"
+    fi
+}
+
 fail=0
 missing=""
 for fig in $figures; do
@@ -66,7 +105,7 @@ for fig in $figures; do
         fail=1
         continue
     fi
-    if ! "$BENCH" "$fig" | diff -u "$golden" - > /tmp/golden_diff_$$; then
+    if ! figure_text "$fig" | diff -u "$golden" - > /tmp/golden_diff_$$; then
         echo "GOLDEN MISMATCH: $fig" >&2
         cat /tmp/golden_diff_$$ >&2
         fail=1
@@ -113,4 +152,4 @@ if [ "$fail" -ne 0 ]; then
     echo "golden-figure gate FAILED" >&2
     exit 1
 fi
-echo "golden-figure gate passed ($(echo "$figures" | wc -w) figures)"
+echo "golden-figure gate passed ($(echo "$figures" | wc -w) figures${sections:+, one process})"

@@ -61,6 +61,8 @@ struct RobEntry
     bool faulted = false;          ///< fault pending trap at head
     bool wasMispredicted = false;  ///< fetch stalled on this branch
     bool inRob = false;            ///< between dispatch and commit
+    bool inWaitSet = false;        ///< on waitSet_
+    bool inElimWait = false;       ///< on elimWait_
 
     /**
      * Wakeup bookkeeping (no timing semantics): issue scans skip
@@ -90,11 +92,13 @@ struct RobEntry
 };
 
 /**
- * Stable storage for in-flight records. Pointer-stable like the
- * std::deque it replaces, but chunked at a size that costs a handful
- * of allocations per simulation instead of one malloc per two
- * entries; never shrinks, so pointers in the wait sets survive early
- * commit.
+ * Stable storage for in-flight records: pointer-stable chunks, and a
+ * free list so a simulation touches only as many slots as it ever
+ * holds at once. A slot is released once no container holds it — it
+ * has left the ROB, waitSet_ and elimWait_ (an early-committed entry
+ * can outlive its ROB slot on either wait list). Calendar events may
+ * still name a recycled slot; eventLive() judges them against the
+ * new occupant, whose times the full rescan would report anyway.
  */
 class EntrySlab
 {
@@ -113,22 +117,48 @@ class EntrySlab
         return chunks_[i / kChunk][i % kChunk];
     }
 
-    size_t size() const { return size_; }
-
-    /** Hand out the next (default-constructed) entry. */
+    /**
+     * Hand out a default-constructed entry with its slabIdx set,
+     * reusing a released slot when there is one.
+     */
     RobEntry *
     alloc()
     {
-        if (size_ == chunks_.size() * kChunk)
-            chunks_.push_back(std::make_unique<RobEntry[]>(kChunk));
-        RobEntry *e = &chunks_[size_ / kChunk][size_ % kChunk];
-        ++size_;
-        return e;
+        if (free_.empty()) {
+            if (size_ == chunks_.size() * kChunk)
+                chunks_.push_back(std::make_unique<RobEntry[]>(kChunk));
+            RobEntry *e = &(*this)[size_];
+            e->slabIdx = static_cast<uint32_t>(size_++);
+            return e;
+        }
+        uint32_t idx = free_.back();
+        free_.pop_back();
+        RobEntry &e = (*this)[idx];
+#ifndef NDEBUG
+        sim_assert(!e.inRob && !e.inWaitSet && !e.inElimWait,
+                   "reusing slot %u still held by the machine", idx);
+#endif
+        // Keep the refill buffer's capacity across occupants.
+        std::vector<Addr> pages = std::move(e.tlbRefillPages);
+        pages.clear();
+        e = RobEntry{};
+        e.tlbRefillPages = std::move(pages);
+        e.slabIdx = idx;
+        return &e;
+    }
+
+    /** Return @p e's slot once nothing holds it any more. */
+    void
+    releaseIfUnheld(const RobEntry &e)
+    {
+        if (!e.inRob && !e.inWaitSet && !e.inElimWait)
+            free_.push_back(e.slabIdx);
     }
 
   private:
     std::vector<std::unique_ptr<RobEntry[]>> chunks_;
     size_t size_ = 0;
+    std::vector<uint32_t> free_;
 };
 
 class OooMachine
@@ -757,10 +787,10 @@ OooMachine::commitStep()
         if (e.oldPhys >= 0)
             renamer_.releaseOld(e.dstCls, e.oldPhys);
         // Note: an early-committed eliminated load may still await
-        // its source value. It stays on elimWait_ (its storage is in
-        // the slab, which outlives retirement) so its destination
-        // register's ready times are still established, and it keeps
-        // its copy-source claim until then.
+        // its source value. It stays on elimWait_ (its slot is held
+        // until it leaves there too) so its destination register's
+        // ready times are still established, and it keeps its
+        // copy-source claim until then.
         e.retired = true;
         e.inRob = false;
         unsubscribeEntry(e);
@@ -770,6 +800,7 @@ OooMachine::commitStep()
         if (e.completeAt != kNoCycle)
             finish(e.completeAt);
         rob_.pop_front();
+        slab_.releaseIfUnheld(e);
         ++committed_;
         ++done;
     }
@@ -869,6 +900,7 @@ OooMachine::depStage(RobEntry *e)
             // Completion resolves once the matched register's value
             // is fully written.
             elimWait_.push_back(e);
+            e->inElimWait = true;
             if (vregOf(e->physDst).fullReadyAt != kNoCycle)
                 elimWaitDirty_ = true;
             else
@@ -928,6 +960,7 @@ OooMachine::depStage(RobEntry *e)
             e->holdsCopyClaim = true;
             f.reg(e->physDst).tag = tag;
             elimWait_.push_back(e);
+            e->inElimWait = true;
             // The copy source now backs an unresolved elimination:
             // its full-ready time is a live event until resolution.
             PhysReg &src = f.reg(match);
@@ -969,6 +1002,7 @@ OooMachine::depStage(RobEntry *e)
         e->depCycle = now_;
         e->queueId = 3;
         waitSet_.push_back(e);
+        e->inWaitSet = true;
         queueCheckAt_[3] = 0;
         return true;
     }
@@ -1046,7 +1080,11 @@ OooMachine::cleanupWaitSet()
     if (waitSet_.empty() || now_ < waitCleanupAt_)
         return;
     std::erase_if(waitSet_, [this](RobEntry *e) {
-        return e->memIssued && e->memDoneAt <= now_;
+        if (!e->memIssued || e->memDoneAt > now_)
+            return false;
+        e->inWaitSet = false;
+        slab_.releaseIfUnheld(*e);
+        return true;
     });
     waitCleanupAt_ = kNoCycle;
     for (const RobEntry *e : waitSet_)
@@ -1403,6 +1441,8 @@ OooMachine::resolveEliminated()
             if (tracer_)
                 tracer_->complete(e->traceRec, done);
             finish(done);
+            e->inElimWait = false;
+            slab_.releaseIfUnheld(*e);
             return true;
         }
         // VLE: the load became a mapping onto its match; it is
@@ -1415,6 +1455,8 @@ OooMachine::resolveEliminated()
         if (tracer_)
             tracer_->complete(e->traceRec, e->completeAt);
         finish(e->completeAt);
+        e->inElimWait = false;
+        slab_.releaseIfUnheld(*e);
         return true;
     });
     elimWaitDirty_ = false;
@@ -1478,7 +1520,6 @@ OooMachine::dispatchStep()
     RobEntry *e = slab_.alloc();
     e->di = &di;
     e->seq = seq;
-    e->slabIdx = static_cast<uint32_t>(slab_.size() - 1);
     e->inRob = true;
     if (fault_.faultSeq != kNoSeq && seq == fault_.faultSeq)
         e->faultArmed = true;
@@ -1645,6 +1686,15 @@ OooMachine::takeTrap()
         }
         if (e->physDst >= 0)
             renamer_.rollback(e->di->dst, e->physDst, e->oldPhys);
+        slab_.releaseIfUnheld(*e);
+    }
+    for (RobEntry *e : waitSet_) {
+        e->inWaitSet = false;
+        slab_.releaseIfUnheld(*e);
+    }
+    for (RobEntry *e : elimWait_) {
+        e->inElimWait = false;
+        slab_.releaseIfUnheld(*e);
     }
 
     for (unsigned c = 0; c < kNumRegClasses; ++c) {

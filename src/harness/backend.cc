@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <thread>
 
@@ -29,6 +28,22 @@ runSweepJob(const TraceCache &traces, const SweepJob &job)
     if (o.result.program.empty())
         o.result.program = job.trace;
     return o;
+}
+
+std::string
+resultKey(const TraceCache &traces, const SweepJob &job,
+          std::unordered_map<const Trace *, uint64_t> &inlineHashes)
+{
+    uint64_t hash;
+    if (job.inlineTrace) {
+        auto [it, fresh] = inlineHashes.try_emplace(job.inlineTrace.get());
+        if (fresh)
+            it->second = traceContentHash(*job.inlineTrace);
+        hash = it->second;
+    } else {
+        hash = traces.contentHash(job.trace);
+    }
+    return ResultStore::makeKey(hash, job.configKey, traces.scale());
 }
 
 namespace
@@ -168,19 +183,7 @@ std::vector<JobOutcome>
 StoreBackend::run(const std::vector<SweepJob> &jobs)
 {
     std::vector<JobOutcome> out(jobs.size());
-
-    // Hash inline (synthetic) traces at most once per batch; named
-    // traces are hashed once for the cache's lifetime.
-    std::map<const Trace *, uint64_t> inlineHashes;
-    auto traceHash = [&](const SweepJob &job) {
-        if (!job.inlineTrace)
-            return traces_.contentHash(job.trace);
-        const Trace *t = job.inlineTrace.get();
-        auto it = inlineHashes.find(t);
-        if (it == inlineHashes.end())
-            it = inlineHashes.emplace(t, traceContentHash(*t)).first;
-        return it->second;
-    };
+    std::unordered_map<const Trace *, uint64_t> inlineHashes;
 
     uint64_t lookupStartUs = traceLog_ ? traceLog_->nowUs() : 0;
     std::vector<size_t> missIdx;
@@ -193,8 +196,7 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
         // observe-side-effect runs) always go to the inner backend.
         std::string key;
         if (!job.configKey.empty()) {
-            key = ResultStore::makeKey(traceHash(job), job.configKey,
-                                       traces_.scale());
+            key = resultKey(traces_, job, inlineHashes);
             uint64_t loadStartUs =
                 traceLog_ ? traceLog_->nowUs() : 0;
             if (store_.load(key, out[i].result)) {

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "harness/resultstore.hh"
@@ -37,7 +38,10 @@ struct JobOutcome
     SimResult result;
     /** Worker wall time (store hits: the load is effectively free). */
     double wallMs = 0.0;
-    /** Served from the ResultStore instead of simulated. */
+    /**
+     * Not simulated in this job: served from the ResultStore (or,
+     * one layer up, from the SweepEngine's memo).
+     */
     bool fromStore = false;
 };
 
@@ -92,6 +96,16 @@ class SweepBackend
  * backend is built from.
  */
 JobOutcome runSweepJob(const TraceCache &traces, const SweepJob &job);
+
+/**
+ * A cacheable job's ResultStore key. Named traces are hashed once per
+ * cache; inline ones once per @p inlineHashes, which is keyed by
+ * address and so must not outlive the batch whose jobs keep those
+ * traces alive.
+ */
+std::string
+resultKey(const TraceCache &traces, const SweepJob &job,
+          std::unordered_map<const Trace *, uint64_t> &inlineHashes);
 
 /** The original thread-pool execution, behind the backend API. */
 class InProcessBackend : public SweepBackend

@@ -177,24 +177,88 @@ SweepEngine::backendName() const
 }
 
 void
-SweepEngine::setProgress(std::function<void(size_t, size_t)> cb)
-{
-    backend_->setProgress(std::move(cb));
-}
-
-void
 SweepEngine::setTraceLog(SweepTraceLog *log)
 {
     backend_->setTraceLog(log);
 }
 
-std::vector<SimResult>
-SweepEngine::run(const std::vector<SweepJob> &jobs) const
+std::vector<JobOutcome>
+SweepEngine::runBackend(const std::vector<SweepJob> &jobs,
+                        size_t served, size_t total) const
 {
-    std::vector<JobOutcome> outcomes = backend_->run(jobs);
+    if (progress_) {
+        if (served)
+            progress_(served, total);
+        backend_->setProgress([this, served, total](size_t d, size_t) {
+            progress_(served + d, total);
+        });
+    } else {
+        backend_->setProgress({});
+    }
+    if (jobs.empty())
+        return {};
+    return backend_->run(jobs);
+}
+
+std::vector<JobOutcome>
+SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
+{
+    std::vector<JobOutcome> out(jobs.size());
+    // Jobs sent to the backend: the first of each distinct key, and
+    // every uncacheable job (prefetch dummies, traced runs).
+    std::vector<SweepJob> sent;
+    std::vector<std::string> sentKeys;
+    std::vector<size_t> sentIdx;
+    // Later duplicates within this batch: (index, position in sent).
+    std::vector<std::pair<size_t, size_t>> dups;
+    std::unordered_map<std::string, size_t> pending;
+    std::unordered_map<const Trace *, uint64_t> inlineHashes;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        std::string key;
+        if (!jobs[i].configKey.empty()) {
+            // The result's program label is the trace name, which
+            // the store key leaves out.
+            key = resultKey(traces_, jobs[i], inlineHashes) + '|' +
+                  jobs[i].trace;
+            if (auto hit = memo_.find(key); hit != memo_.end()) {
+                out[i].result = hit->second;
+                out[i].fromStore = true;
+                continue;
+            }
+            auto [it, first] = pending.try_emplace(key, sent.size());
+            if (!first) {
+                dups.emplace_back(i, it->second);
+                continue;
+            }
+        }
+        sent.push_back(jobs[i]);
+        sentKeys.push_back(std::move(key));
+        sentIdx.push_back(i);
+    }
+
+    std::vector<JobOutcome> ran =
+        runBackend(sent, jobs.size() - sent.size(), jobs.size());
+    for (auto [i, s] : dups) {
+        out[i].result = ran[s].result;
+        out[i].fromStore = true;
+    }
+    for (size_t s = 0; s < sent.size(); ++s) {
+        if (!sentKeys[s].empty())
+            memo_.emplace(std::move(sentKeys[s]), ran[s].result);
+        out[sentIdx[s]] = std::move(ran[s]);
+    }
+    return out;
+}
+
+std::vector<SimResult>
+SweepEngine::run(const std::vector<SweepJob> &jobs, Memo memo) const
+{
+    std::vector<JobOutcome> outcomes =
+        memo == Memo::Use ? runMemoized(jobs)
+                          : runBackend(jobs, 0, jobs.size());
 
     // Prefetch dummies carry no machine label and are skipped, so
-    // the manifest lists exactly the simulations that ran.
+    // the manifest lists exactly the jobs figures asked for.
     if (manifestEnabled_)
         for (const JobOutcome &o : outcomes)
             if (!o.result.machine.empty())

@@ -6,7 +6,10 @@
  * in-process thread pool, optionally wrapped by the
  * content-addressed result store), against the shared TraceCache,
  * returning results in submission order so table layout is
- * deterministic regardless of completion order.
+ * deterministic regardless of completion order. Above the backend,
+ * the engine memoizes results: each distinct (trace content, config,
+ * scale) is simulated once per engine, however many figures ask for
+ * it.
  *
  * Jobs must be independent pure functions of (trace, config); both
  * simulators satisfy this, which is what makes the --threads 1,
@@ -19,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/config.hh"
@@ -86,10 +90,13 @@ SweepJob refTraceJob(std::shared_ptr<const Trace> trace,
  */
 SweepJob idealJob(std::string trace);
 
+struct JobOutcome;
+
 /**
  * One executed job's entry in the run manifest: what ran (program ×
  * machine label), how long the job took on its worker, and whether
- * the result was served from the result store instead of simulated.
+ * the result was not simulated in this job — served from the result
+ * store or from the engine's memo (wallMs 0).
  */
 struct JobRecord
 {
@@ -101,12 +108,32 @@ struct JobRecord
 
 /**
  * Executes batches of SweepJobs through a SweepBackend. The engine
- * owns manifest recording and prefetching; all execution policy
- * (threads, store) lives in the backend.
+ * owns the result memo, manifest recording and prefetching; all
+ * execution policy (threads, store) lives in the backend.
+ *
+ * The memo keys every cacheable job (non-empty configKey) by its
+ * trace's content hash, config key and scale — the ResultStore key —
+ * plus the trace name its result carries as the program label.
+ * Duplicates within a batch reach the backend once; repeats of an
+ * earlier batch never reach it. The key is content-based, never a
+ * trace's address: a synthetic trace freed after one batch may be
+ * reallocated at the same address with different instructions.
  */
 class SweepEngine
 {
   public:
+    /** Whether run() may serve results from the memo. */
+    enum class Memo
+    {
+        Use,
+        /**
+         * Send every job to the backend (the store, if any, still
+         * applies) and leave the memo untouched: for batches that
+         * time simulation rather than consume results.
+         */
+        Bypass,
+    };
+
     /**
      * In-process convenience constructor, the default everywhere a
      * figure or test doesn't care about backends.
@@ -128,7 +155,8 @@ class SweepEngine
      * Run all jobs and return their results, index-aligned with
      * @p jobs (submission order, not completion order).
      */
-    std::vector<SimResult> run(const std::vector<SweepJob> &jobs) const;
+    std::vector<SimResult> run(const std::vector<SweepJob> &jobs,
+                               Memo memo = Memo::Use) const;
 
     /**
      * Generate (and cache) the named traces using the worker pool,
@@ -145,10 +173,14 @@ class SweepEngine
     /**
      * Install a per-job completion callback (jobs done, batch size),
      * invoked from workers after every finished job — the callback
-     * must be thread-safe. Used by --progress; never called when
+     * must be thread-safe. Jobs served by the memo are reported
+     * first, in one call. Used by --progress; never called when
      * unset, so the default costs nothing.
      */
-    void setProgress(std::function<void(size_t, size_t)> cb);
+    void setProgress(std::function<void(size_t, size_t)> cb)
+    {
+        progress_ = std::move(cb);
+    }
 
     /**
      * Record a JobRecord for every job of subsequent run() calls
@@ -183,15 +215,28 @@ class SweepEngine
     }
 
   private:
+    /**
+     * Run @p jobs on the backend, its progress reported on top of
+     * @p served jobs of a @p total -job batch already answered.
+     */
+    std::vector<JobOutcome> runBackend(const std::vector<SweepJob> &jobs,
+                                       size_t served,
+                                       size_t total) const;
+    std::vector<JobOutcome>
+    runMemoized(const std::vector<SweepJob> &jobs) const;
+
     const TraceCache &traces_;
     std::unique_ptr<SweepBackend> backend_;
+    std::function<void(size_t, size_t)> progress_;
     bool manifestEnabled_ = false;
     bool captureEnabled_ = false;
     /**
-     * Appended after each batch's workers have joined (figures run
+     * Updated between batches on the calling thread (figures run
      * batches serially from one thread), so no lock is needed —
-     * same discipline for captured_.
+     * same discipline for manifest_ and captured_.
      */
+    mutable std::unordered_map<std::string, SimResult> memo_;
+    /** Appended after each batch's workers have joined. */
     mutable std::vector<JobRecord> manifest_;
     mutable std::vector<SimResult> captured_;
 };

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the experiment harness: the parallel sweep engine
- * (determinism across thread counts, submission-order results), the
- * shared trace cache (single generation and stable references under
- * concurrency), OOVA_SCALE parsing, and the speedup() degenerate
- * case.
+ * (determinism across thread counts, submission-order results, the
+ * per-engine result memo), the shared trace cache (single
+ * generation and stable references under concurrency), OOVA_SCALE
+ * parsing, and the speedup() degenerate case.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/pipetrace.hh"
 #include "harness/backend.hh"
 #include "harness/experiment.hh"
 #include "harness/figure.hh"
@@ -153,6 +154,22 @@ expectProgressPerJob(SweepEngine &engine, const TraceCache &traces)
     EXPECT_EQ(calls.load(), jobs.size());
     EXPECT_EQ(maxDone.load(), jobs.size());
     EXPECT_EQ(badTotal.load(), 0u);
+
+    // A batch with duplicates: the memo reports the repeats in one
+    // call up front, then one call per simulated job on top of it,
+    // and the done count still reaches the batch size.
+    const size_t distinct = traces.names().size();
+    jobs.clear();
+    for (int copy = 0; copy < 3; ++copy)
+        for (const auto &name : traces.names())
+            jobs.push_back(refJob(name, makeRefConfig(1)));
+    calls = 0;
+    maxDone = 0;
+    res = engine.run(jobs);
+    ASSERT_EQ(res.size(), jobs.size());
+    EXPECT_EQ(calls.load(), distinct + 1);
+    EXPECT_EQ(maxDone.load(), jobs.size());
+    EXPECT_EQ(badTotal.load(), 0u);
 }
 
 } // namespace
@@ -173,6 +190,195 @@ TEST(SweepEngine, ProgressFiresPerJob)
                     store, traces,
                     std::make_unique<InProcessBackend>(traces, 2)));
     expectProgressPerJob(stored, traces);
+}
+
+namespace
+{
+
+/** @p job with its run wrapped to count invocations in @p calls. */
+SweepJob
+counted(SweepJob job, std::atomic<unsigned> &calls)
+{
+    job.run = [&calls, run = std::move(job.run)](const Trace &t) {
+        ++calls;
+        return run(t);
+    };
+    return job;
+}
+
+/** A small synthetic vector-load trace whose content varies with @p n. */
+std::shared_ptr<const Trace>
+syntheticTrace(const std::string &name, unsigned n)
+{
+    Trace t(name);
+    for (unsigned i = 0; i <= n; ++i)
+        t.push(makeVLoad(vReg(static_cast<uint8_t>(i % 8)), aReg(0),
+                         0x1000 + static_cast<Addr>(i) * 0x40 * (n + 1),
+                         8 * (n + 1), 64));
+    return std::make_shared<const Trace>(std::move(t));
+}
+
+} // namespace
+
+TEST(SweepMemo, SimulatesEachDistinctJobOnce)
+{
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 4);
+    engine.enableManifest();
+    std::atomic<unsigned> calls{0};
+    SweepJob a = counted(refJob("hydro2d", makeRefConfig(50)), calls);
+    SweepJob b = counted(oooJob("hydro2d", makeOooConfig(16, 16, 50)),
+                         calls);
+
+    // Duplicates within one batch reach the simulator once each...
+    std::vector<SimResult> first = engine.run({a, b, a, a, b});
+    EXPECT_EQ(calls.load(), 2u);
+    EXPECT_EQ(first[2].toJson(), first[0].toJson());
+    EXPECT_EQ(first[3].toJson(), first[0].toJson());
+    EXPECT_EQ(first[4].toJson(), first[1].toJson());
+    EXPECT_NE(first[0].toJson(), first[1].toJson());
+
+    // ...and repeats of an earlier batch never reach it.
+    std::vector<SimResult> second = engine.run({b, a});
+    EXPECT_EQ(calls.load(), 2u);
+    EXPECT_EQ(second[0].toJson(), first[1].toJson());
+    EXPECT_EQ(second[1].toJson(), first[0].toJson());
+
+    // The manifest lists every job; only the simulated ones are not
+    // cached, and memo-served ones took no time.
+    const std::vector<JobRecord> &m = engine.manifest();
+    ASSERT_EQ(m.size(), 7u);
+    for (size_t i = 0; i < m.size(); ++i) {
+        bool simulated = i < 2;
+        EXPECT_EQ(m[i].cached, !simulated) << "record " << i;
+        if (!simulated) {
+            EXPECT_EQ(m[i].wallMs, 0.0) << "record " << i;
+        }
+    }
+}
+
+TEST(SweepMemo, KeysSyntheticTracesByContentNotAddress)
+{
+    // A trace freed after its batch is often reallocated at the same
+    // address; a memo keyed by address would then serve the old
+    // trace's result for different instructions.
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 1);
+    for (unsigned n = 0; n < 8; ++n) {
+        auto t = syntheticTrace("synthetic", n);
+        OooConfig cfg = makeBankedOooConfig(8, 50);
+        SimResult memo = engine.run({oooTraceJob(t, cfg)})[0];
+        SweepEngine fresh(traces, 1);
+        SimResult want = fresh.run({oooTraceJob(t, cfg)})[0];
+        EXPECT_EQ(memo.toJson(), want.toJson()) << "trace " << n;
+    }
+}
+
+TEST(SweepMemo, IdenticalTracesKeepTheirOwnProgramLabels)
+{
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 2);
+    OooConfig cfg = makeOooConfig(16, 16, 50);
+    std::vector<SimResult> res =
+        engine.run({oooTraceJob(syntheticTrace("left", 3), cfg),
+                    oooTraceJob(syntheticTrace("right", 3), cfg)});
+    EXPECT_EQ(res[0].program, "left");
+    EXPECT_EQ(res[1].program, "right");
+    EXPECT_EQ(res[0].cycles, res[1].cycles);
+    res = engine.run({oooTraceJob(syntheticTrace("right", 3), cfg)});
+    EXPECT_EQ(res[0].program, "right");
+}
+
+TEST(SweepMemo, UncacheableJobsAlwaysRun)
+{
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 2);
+    std::atomic<unsigned> calls{0};
+    // A prefetch dummy: no config key.
+    SweepJob dummy = counted(
+        {"trfd", [](const Trace &) { return SimResult{}; }, nullptr,
+         std::string()},
+        calls);
+    // A pipeline-traced run: its tracer output is the point, so its
+    // key is empty.
+    PipeTracer tracer;
+    OooConfig cfg = makeOooConfig(16, 16, 50);
+    cfg.pipeTracer = &tracer;
+    SweepJob traced = counted(oooJob("trfd", cfg), calls);
+    ASSERT_TRUE(traced.configKey.empty());
+
+    engine.run({dummy, dummy});
+    engine.run({dummy, dummy});
+    EXPECT_EQ(calls.load(), 4u);
+    engine.run({traced});
+    engine.run({traced});
+    EXPECT_EQ(calls.load(), 6u);
+}
+
+TEST(SweepMemo, DuplicatesGiveSameResultsAtOneAndEightThreads)
+{
+    TraceCache traces(kTestScale);
+    std::vector<SweepJob> jobs = testBatch(traces);
+    std::vector<SweepJob> once = jobs;
+    jobs.insert(jobs.end(), once.rbegin(), once.rend());
+
+    SweepEngine serial(traces, 1);
+    SweepEngine parallel(traces, 8);
+    std::vector<SimResult> a = serial.run(jobs);
+    std::vector<SimResult> b = parallel.run(jobs);
+    ASSERT_EQ(a.size(), jobs.size());
+    ASSERT_EQ(b.size(), jobs.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].toJson(), b[i].toJson()) << "job " << i;
+        EXPECT_EQ(a[i].toJson(), a[jobs.size() - 1 - i].toJson())
+            << "job " << i;
+    }
+}
+
+namespace
+{
+
+/** Counts the cacheable jobs that reach the backend below the memo. */
+class CountingBackend : public SweepBackend
+{
+  public:
+    CountingBackend(const TraceCache &traces, unsigned &jobs)
+        : inner_(traces, 2), jobs_(jobs)
+    {
+    }
+
+    std::vector<JobOutcome>
+    run(const std::vector<SweepJob> &jobs) override
+    {
+        for (const SweepJob &job : jobs)
+            jobs_ += job.configKey.empty() ? 0 : 1;
+        return inner_.run(jobs);
+    }
+    unsigned parallelism() const override { return 2; }
+    std::string describe() const override { return "counting"; }
+
+  private:
+    InProcessBackend inner_;
+    unsigned &jobs_;
+};
+
+} // namespace
+
+TEST(SweepMemo, SimspeedTimesSimulationNotTheMemo)
+{
+    // simspeed times batches the figures before it have already run;
+    // the memo must not answer them, or it would time map lookups.
+    TraceCache traces(kTestScale);
+    unsigned simulated = 0;
+    SweepEngine engine(traces,
+                       std::make_unique<CountingBackend>(traces, simulated));
+    const FigureDef *simspeed = findFigure("simspeed");
+    ASSERT_NE(simspeed, nullptr);
+    simspeed->fn(engine);
+    unsigned perRun = simulated;
+    EXPECT_EQ(perRun, 3 * traces.names().size());
+    simspeed->fn(engine);
+    EXPECT_EQ(simulated, 2 * perRun);
 }
 
 TEST(JobSet, IndicesReadBackAfterRun)
