@@ -6,8 +6,7 @@
  * parallel sweep engine, and of the SimResult JSON round trip every
  * result-store hit pays. These guard against performance regressions
  * in the simulators and in the sweep path every figure runs on.
- * (For a quick table without google-benchmark, run
- * `oova_bench simspeed`.)
+ * scripts/bench_speed.sh records them in BENCH_simspeed.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -121,8 +120,6 @@ static void
 BM_SweepEngine(benchmark::State &state)
 {
     const TraceCache &traces = sharedTraces();
-    SweepEngine engine(traces,
-                       static_cast<unsigned>(state.range(0)));
     std::vector<SweepJob> jobs;
     uint64_t elems = 0;
     for (const auto &name : traces.names()) {
@@ -130,9 +127,11 @@ BM_SweepEngine(benchmark::State &state)
         elems += traces.get(name).size();
     }
     for (auto _ : state) {
-        // Past the first iteration the memo would answer every job.
-        std::vector<SimResult> res =
-            engine.run(jobs, SweepEngine::Memo::Bypass);
+        // A fresh engine per batch: an engine's memo would answer
+        // every job past the first iteration.
+        SweepEngine engine(traces,
+                           static_cast<unsigned>(state.range(0)));
+        std::vector<SimResult> res = engine.run(jobs);
         benchmark::DoNotOptimize(res);
     }
     state.SetItemsProcessed(
@@ -142,7 +141,7 @@ BM_SweepEngine(benchmark::State &state)
 // so the main thread's CPU time would overstate throughput wildly.
 BENCHMARK(BM_SweepEngine)->Arg(1)->Arg(4)->UseRealTime();
 
-/** Writing one result record: a store write or a worker frame. */
+/** Writing one result record: the cost of every store write. */
 static void
 BM_SimResultToJson(benchmark::State &state)
 {

@@ -19,8 +19,6 @@
 # banners and diffs each section instead: the figures then share one
 # sweep engine, so state carried from one figure to the next (the
 # engine's result memo) is gated too.
-#
-# simspeed is exempt: it prints wall-clock timings.
 
 # pipefail: a bench binary that dies after printing a matching table
 # must still fail the gate.
@@ -42,7 +40,7 @@ export OOVA_SCALE=0.25
 # pipefail is inherited by the substitution's subshell, so a --list
 # that dies mid-pipe fails here instead of yielding a silently
 # truncated figure set (which would misreport stale/missing goldens).
-figures="$("$BENCH" --list | awk '{print $1}' | grep -v '^simspeed$')" || {
+figures="$("$BENCH" --list | awk '{print $1}')" || {
     echo "check_goldens: '$BENCH --list' failed" >&2
     exit 2
 }
@@ -113,7 +111,7 @@ for fig in $figures; do
 done
 rm -f /tmp/golden_diff_$$
 
-# Every registered non-timing figure must be golden-gated: a new
+# Every registered figure must be golden-gated: a new
 # figure registered without a capture would otherwise dodge the gate
 # until someone noticed. Name the offenders explicitly.
 if [ -n "$missing" ]; then

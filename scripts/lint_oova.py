@@ -20,20 +20,21 @@ see, each of which has bitten (or nearly bitten) a past PR:
   5. No naked new/delete outside the dedicated storage code: the
      simulator's hot-path storage is slab/sliding-queue based, and
      ad-hoc ownership has no place next to it.
-  6. Every CpiBucket enum entry has a cpiBucketName() label (which
-     toJson() surfaces) and a row in the README's CPI-bucket table,
-     and vice versa — a bucket nobody can read about or parse out of
-     the JSON is dead observability.
+  6. Every CpiBucket label (the OOVA_CPI_BUCKETS list, which
+     generates both the enum and cpiBucketName(), surfaced by
+     toJson()) has a row in the README's CPI-bucket table, and vice
+     versa — a bucket nobody can read about is dead observability.
   7. Every data member of the machine-config structs (OooConfig,
      RefConfig, MemConfig, TlbConfig, LatencyTable) is serialized in
      the config-key region of src/harness/sweep.cc (or explicitly
      allowlisted as observe-only) — a knob missing from
      sweepConfigKey() would alias store entries of runs that set it.
-  8. Every OccStruct enum entry has an occStructName() label and a
-     row in the README's occupancy-structure table, and vice versa;
-     and both telemetry renderers (simResultJson in simresult.cc,
-     the --stats dump in statsdump.cc) iterate via occStructName(),
-     so every registered occupancy distribution reaches both output
+  8. Every OccStruct label (the OOVA_OCC_STRUCTS list, which
+     generates both the enum and occStructName()) has a row in the
+     README's occupancy-structure table, and vice versa; and both
+     telemetry renderers (SimResult::toJson() in simresult.cc, the
+     --stats dump in statsdump.cc) iterate via occStructName(), so
+     every registered occupancy distribution reaches both output
      surfaces — a structure nobody can read about, parse out of the
      JSON, or grep out of the stats dump is dead telemetry.
 
@@ -45,10 +46,6 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-# simspeed prints wall-clock timings: registered, but not a
-# correctness surface, so it carries no golden.
-GOLDEN_EXEMPT = {"simspeed"}
 
 # Files allowed to own raw storage (none currently need to; add the
 # slab/queue implementation here if it ever manages raw memory).
@@ -87,8 +84,6 @@ golden_dir = ROOT / "tests/golden"
 goldens = {p.stem for p in golden_dir.glob("*.txt")}
 
 for name in sorted(figures):
-    if name in GOLDEN_EXEMPT:
-        continue
     if name not in goldens:
         err(f"figure '{name}' has no golden "
             f"(tests/golden/{name}.txt); capture it with "
@@ -187,63 +182,51 @@ for sub in ("src", "bench", "examples"):
                     "slab, a container, or a smart pointer")
 
 # ---------------------------------------------------------------
-# Rule 6: CpiBucket enum <-> cpiBucketName() labels <-> README
-# bucket table, all three in sync, both directions.
+# Rules 6 + 8 share one parser: an X(Enumerator, "label") list, the
+# one declaration of both an enum and its *Name() labels.
 # ---------------------------------------------------------------
 
-def cpi_enum_entries() -> list:
-    """CpiBucket enumerators (minus the NumBuckets sentinel)."""
-    src = (ROOT / "src/mem/simresult.hh").read_text()
-    m = re.search(r"enum class CpiBucket[^{]*\{(.*?)\}", src, re.S)
+def label_list(macro: str, rel: str) -> list:
+    """Labels of the X-macro list #define <macro>(X) in <rel>."""
+    src = (ROOT / rel).read_text()
+    m = re.search(r"#define " + macro + r"\(X\)((?:[^\n]*\\\n)*[^\n]*)",
+                  src)
     if not m:
-        err("enum class CpiBucket not found in src/mem/simresult.hh")
+        err(f"label list {macro} not found in {rel}")
         return []
-    body = re.sub(r"//[^\n]*", "", m.group(1))
-    entries = re.findall(r"\b([A-Z]\w*)\b", body)
-    return [e for e in entries if e != "NumBuckets"]
+    labels = re.findall(r'X\(\w+,\s*"([^"]+)"\)', m.group(1))
+    if len(labels) < 5:
+        err(f"{macro} parse found only {len(labels)} entries in "
+            f"{rel}; the parser is broken")
+    return labels
 
 
-def cpi_name_labels() -> dict:
-    """Enumerator -> label string, from cpiBucketName()'s switch."""
-    src = (ROOT / "src/mem/simresult.cc").read_text()
-    m = re.search(r"cpiBucketName\(.*?\n\}", src, re.S)
-    if not m:
-        err("cpiBucketName() not found in src/mem/simresult.cc")
-        return {}
-    return dict(re.findall(
-        r'case CpiBucket::(\w+):\s*return "([a-z-]+)"', m.group(0)))
-
-
-def readme_bucket_labels() -> list:
-    """Bucket labels from the README's CPI-bucket table."""
+def readme_table_labels(heading: str) -> list:
+    """Backquoted first-column labels of one README table."""
     text = (ROOT / "README.md").read_text()
-    m = re.search(r"### CPI buckets\n(.*?)(?:\n#|\Z)", text, re.S)
+    m = re.search(re.escape(heading) + r"\n(.*?)(?:\n#|\Z)", text, re.S)
     if not m:
-        err("README.md has no '### CPI buckets' section")
+        err(f"README.md has no '{heading}' section")
         return []
     return re.findall(r"^\| `([a-z-]+)` \|", m.group(1), re.M)
 
 
-cpi_entries = cpi_enum_entries()
-cpi_labels = cpi_name_labels()
-readme_labels = readme_bucket_labels()
+def check_readme_table(what: str, labels: list, heading: str) -> None:
+    """Both directions: every label has a row, every row a label."""
+    rows = readme_table_labels(heading)
+    for label in labels:
+        if label not in rows:
+            err(f"{what} '{label}' missing from the README's "
+                f"'{heading}' table")
+    for label in rows:
+        if label not in labels:
+            err(f"README '{heading}' table row '{label}' matches no "
+                f"{what} label")
 
-for entry in cpi_entries:
-    if entry not in cpi_labels:
-        err(f"CpiBucket::{entry} has no label in cpiBucketName() "
-            "(src/mem/simresult.cc)")
-for entry in cpi_labels:
-    if entry not in cpi_entries:
-        err(f"cpiBucketName() labels unknown bucket "
-            f"CpiBucket::{entry}")
-for entry, label in sorted(cpi_labels.items()):
-    if label not in readme_labels:
-        err(f"CPI bucket '{label}' (CpiBucket::{entry}) missing "
-            "from the README's '### CPI buckets' table")
-for label in readme_labels:
-    if label not in cpi_labels.values():
-        err(f"README CPI-bucket table row '{label}' matches no "
-            "cpiBucketName() label")
+
+# Rule 6: CPI buckets <-> README bucket table.
+cpi_entries = label_list("OOVA_CPI_BUCKETS", "src/mem/simresult.hh")
+check_readme_table("CPI bucket", cpi_entries, "### CPI buckets")
 
 # ---------------------------------------------------------------
 # Rule 7: every machine-config data member is serialized in the
@@ -319,66 +302,13 @@ for struct, rel in CONFIG_STRUCTS:
                 "only in scripts/lint_oova.py)")
 
 # ---------------------------------------------------------------
-# Rule 8: OccStruct enum <-> occStructName() labels <-> README
-# occupancy table, all three in sync, both directions; and both
-# telemetry renderers must emit through occStructName().
+# Rule 8: occupancy structures <-> README occupancy table, and both
+# telemetry renderers emit through occStructName().
 # ---------------------------------------------------------------
 
-def occ_enum_entries() -> list:
-    """OccStruct enumerators (minus the NumStructs sentinel)."""
-    src = (ROOT / "src/common/stats.hh").read_text()
-    m = re.search(r"enum class OccStruct[^{]*\{(.*?)\}", src, re.S)
-    if not m:
-        err("enum class OccStruct not found in src/common/stats.hh")
-        return []
-    body = re.sub(r"//[^\n]*", "", m.group(1))
-    entries = re.findall(r"\b([A-Z]\w*)\b", body)
-    return [e for e in entries if e != "NumStructs"]
-
-
-def occ_name_labels() -> dict:
-    """Enumerator -> label string, from occStructName()'s switch."""
-    src = (ROOT / "src/common/stats.cc").read_text()
-    m = re.search(r"occStructName\(.*?\n\}", src, re.S)
-    if not m:
-        err("occStructName() not found in src/common/stats.cc")
-        return {}
-    return dict(re.findall(
-        r'case OccStruct::(\w+):\s*return "([a-z-]+)"', m.group(0)))
-
-
-def readme_occ_labels() -> list:
-    """Structure labels from the README's occupancy table."""
-    text = (ROOT / "README.md").read_text()
-    m = re.search(r"#### Occupancy structures\n(.*?)(?:\n#|\Z)",
-                  text, re.S)
-    if not m:
-        err("README.md has no '#### Occupancy structures' section")
-        return []
-    return re.findall(r"^\| `([a-z-]+)` \|", m.group(1), re.M)
-
-
-occ_entries = occ_enum_entries()
-occ_labels = occ_name_labels()
-occ_readme = readme_occ_labels()
-
-for entry in occ_entries:
-    if entry not in occ_labels:
-        err(f"OccStruct::{entry} has no label in occStructName() "
-            "(src/common/stats.cc)")
-for entry in occ_labels:
-    if entry not in occ_entries:
-        err(f"occStructName() labels unknown structure "
-            f"OccStruct::{entry}")
-for entry, label in sorted(occ_labels.items()):
-    if label not in occ_readme:
-        err(f"occupancy structure '{label}' (OccStruct::{entry}) "
-            "missing from the README's '#### Occupancy structures' "
-            "table")
-for label in occ_readme:
-    if label not in occ_labels.values():
-        err(f"README occupancy-table row '{label}' matches no "
-            "occStructName() label")
+occ_entries = label_list("OOVA_OCC_STRUCTS", "src/common/stats.hh")
+check_readme_table("occupancy structure", occ_entries,
+                   "#### Occupancy structures")
 
 # Both renderers must derive their per-structure keys from
 # occStructName(): that is what guarantees all kNumOccStructs

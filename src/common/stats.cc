@@ -230,27 +230,12 @@ Histogram::mean() const
 const char *
 occStructName(OccStruct s)
 {
-    switch (s) {
-    case OccStruct::Rob:
-        return "rob";
-    case OccStruct::AQueue:
-        return "aqueue";
-    case OccStruct::SQueue:
-        return "squeue";
-    case OccStruct::VQueue:
-        return "vqueue";
-    case OccStruct::FreeVRegs:
-        return "free-vregs";
-    case OccStruct::Mshrs:
-        return "mshrs";
-    case OccStruct::MemUnits:
-        return "mem-units";
-    case OccStruct::TlbPages:
-        return "tlb-pages";
-    case OccStruct::NumStructs:
-        break;
-    }
-    panic("occStructName on %d", static_cast<int>(s));
+    static constexpr const char *kNames[] = {
+        OOVA_OCC_STRUCTS(OOVA_LABEL)};
+    auto i = static_cast<size_t>(s);
+    if (i >= kNumOccStructs)
+        panic("occStructName on %zu", i);
+    return kNames[i];
 }
 
 double

@@ -143,21 +143,24 @@ class Histogram
 /**
  * Machine structures sampled by the occupancy telemetry layer
  * (cfg.telemetry / OOVA_TELEMETRY=1). One StatDistribution and one
- * StatTimeSeries per entry ride in SimResult; occStructName() gives
- * the stable label used by simResultJson(), the --stats dump, and
- * the README table (lint-enforced both directions).
+ * StatTimeSeries per entry ride in SimResult. One X(Enumerator,
+ * "label") list generates OccStruct and occStructName(), the stable
+ * label used by SimResult::toJson(), the --stats dump, and the
+ * README table (lint-enforced both directions).
  */
+#define OOVA_OCC_STRUCTS(X)                                                   \
+    X(Rob, "rob")              /* reorder-buffer entries in flight */         \
+    X(AQueue, "aqueue")        /* address-unit instruction queue depth */     \
+    X(SQueue, "squeue")        /* scalar-unit instruction queue depth */      \
+    X(VQueue, "vqueue")        /* vector-unit instruction queue depth */      \
+    X(FreeVRegs, "free-vregs") /* free physical vector registers */           \
+    X(Mshrs, "mshrs")          /* in-flight cache miss-status registers */    \
+    X(MemUnits, "mem-units")   /* concurrently busy memory units */           \
+    X(TlbPages, "tlb-pages")   /* valid (resident) TLB entries, both levels */
+
 enum class OccStruct : uint8_t
 {
-    Rob,          ///< reorder-buffer entries in flight
-    AQueue,       ///< address-unit instruction queue depth
-    SQueue,       ///< scalar-unit instruction queue depth
-    VQueue,       ///< vector-unit instruction queue depth
-    FreeVRegs,    ///< free physical vector registers
-    Mshrs,        ///< in-flight cache miss-status registers
-    MemUnits,     ///< concurrently busy memory units
-    TlbPages,     ///< valid (resident) TLB entries, both levels
-    NumStructs,
+    OOVA_OCC_STRUCTS(OOVA_ENUMERATOR) NumStructs,
 };
 
 constexpr size_t kNumOccStructs =
@@ -169,7 +172,7 @@ const char *occStructName(OccStruct s);
 /**
  * Running distribution over exact integers: count/sum/sum-of-squares
  * plus min/max and a fixed 16-bucket linear histogram (last bucket
- * catches overflow). Plain aggregate so simResultJson() can
+ * catches overflow). Plain aggregate so SimResult::toJson() can
  * round-trip it bit-exactly; sample() is inline and allocation-free
  * because the simulators call it on every event-calendar advance.
  * @p n is a bulk weight: an idle jump of k cycles charges its

@@ -9,6 +9,15 @@
 #include <cstdint>
 #include <limits>
 
+/**
+ * Label lists. An enum whose values carry stable text labels is
+ * declared by one X-macro list of X(Enumerator, "label") entries;
+ * these two expanders turn that list into the enumerators and into
+ * the label array, so the two can never drift apart.
+ */
+#define OOVA_ENUMERATOR(name, label) name,
+#define OOVA_LABEL(name, label) label,
+
 namespace oova
 {
 

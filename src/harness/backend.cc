@@ -25,8 +25,7 @@ runSweepJob(const TraceCache &traces, const SweepJob &job)
     o.wallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
                    .count();
-    if (o.result.program.empty())
-        o.result.program = job.trace;
+    o.result.program = job.trace;
     return o;
 }
 
@@ -200,6 +199,9 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
             uint64_t loadStartUs =
                 traceLog_ ? traceLog_->nowUs() : 0;
             if (store_.load(key, out[i].result)) {
+                // The key covers the trace, not the job's label:
+                // the label is this job's, not the storing job's.
+                out[i].result.program = job.trace;
                 out[i].fromStore = true;
                 ++hits;
                 // Hits get job spans too (category "store-hit",

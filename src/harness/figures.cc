@@ -9,7 +9,6 @@
  */
 
 #include <array>
-#include <chrono>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -1434,78 +1433,6 @@ figOccupancy(const SweepEngine &engine)
     return out;
 }
 
-// --------------------------------------------------------- simspeed
-// Sweep-engine throughput: how many simulated instructions per
-// second the full pool sustains for each machine model. The
-// google-benchmark binary (bench/simspeed.cc) measures single-sim
-// throughput; this entry measures the batch path the figures use,
-// so --json runs can track sweep performance across PRs.
-
-FigureResult
-simspeedThroughput(const SweepEngine &engine)
-{
-    const auto &names = engine.traces().names();
-    engine.prefetch(names);
-
-    struct Model
-    {
-        const char *label;
-        std::function<SweepJob(const std::string &)> make;
-    };
-    const std::vector<Model> models = {
-        {"REF",
-         [](const std::string &n) { return refJob(n, RefConfig{}); }},
-        {"OOOVA-16",
-         [](const std::string &n) {
-             return oooJob(n, makeOooConfig(16, 16, 50));
-         }},
-        {"OOOVA-32 late SLE+VLE",
-         [](const std::string &n) {
-             return oooJob(n, makeOooConfig(32, 16, 50,
-                                            CommitMode::Late,
-                                            LoadElimMode::SleVle));
-         }},
-    };
-
-    // The raw integer "instr/s" column is the stable machine-readable
-    // field scripts/bench_speed.sh records into BENCH_simspeed.json;
-    // the formatted columns are for humans.
-    TextTable table({"Model", "jobs", "Minstr", "wall ms",
-                     "Minstr/s", "instr/s"});
-    for (const auto &m : models) {
-        std::vector<SweepJob> jobs;
-        for (const auto &n : names)
-            jobs.push_back(m.make(n));
-        // Bypass the memo so this times simulation even when an
-        // earlier figure already ran these jobs (the store, when
-        // present, still serves its hits).
-        auto t0 = std::chrono::steady_clock::now();
-        std::vector<SimResult> res =
-            engine.run(jobs, SweepEngine::Memo::Bypass);
-        auto t1 = std::chrono::steady_clock::now();
-        double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0)
-                .count();
-        uint64_t instrs = 0;
-        for (const auto &r : res)
-            instrs += r.instructions;
-        double minstr = static_cast<double>(instrs) / 1e6;
-        double per_s =
-            ms > 0.0 ? static_cast<double>(instrs) / (ms / 1e3) : 0.0;
-        table.addRow({m.label, TextTable::fmt(uint64_t(jobs.size())),
-                      TextTable::fmt(minstr, 2),
-                      TextTable::fmt(ms, 1),
-                      TextTable::fmt(minstr / (ms / 1e3), 2),
-                      TextTable::fmt(static_cast<uint64_t>(per_s))});
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(timing, not simulation output: varies run to "
-                   "run and with --threads)";
-    return out;
-}
-
 } // namespace
 
 const std::vector<FigureDef> &
@@ -1556,7 +1483,6 @@ figureRegistry()
         {"occupancy",
          "Occupancy: structure-occupancy telemetry, REF vs OOOVA",
          figOccupancy},
-        {"simspeed", "Sweep-engine throughput", simspeedThroughput},
     };
     return registry;
 }

@@ -216,12 +216,10 @@ SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
     for (size_t i = 0; i < jobs.size(); ++i) {
         std::string key;
         if (!jobs[i].configKey.empty()) {
-            // The result's program label is the trace name, which
-            // the store key leaves out.
-            key = resultKey(traces_, jobs[i], inlineHashes) + '|' +
-                  jobs[i].trace;
+            key = resultKey(traces_, jobs[i], inlineHashes);
             if (auto hit = memo_.find(key); hit != memo_.end()) {
                 out[i].result = hit->second;
+                out[i].result.program = jobs[i].trace;
                 out[i].fromStore = true;
                 continue;
             }
@@ -240,6 +238,7 @@ SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
         runBackend(sent, jobs.size() - sent.size(), jobs.size());
     for (auto [i, s] : dups) {
         out[i].result = ran[s].result;
+        out[i].result.program = jobs[i].trace;
         out[i].fromStore = true;
     }
     for (size_t s = 0; s < sent.size(); ++s) {
@@ -251,11 +250,9 @@ SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
 }
 
 std::vector<SimResult>
-SweepEngine::run(const std::vector<SweepJob> &jobs, Memo memo) const
+SweepEngine::run(const std::vector<SweepJob> &jobs) const
 {
-    std::vector<JobOutcome> outcomes =
-        memo == Memo::Use ? runMemoized(jobs)
-                          : runBackend(jobs, 0, jobs.size());
+    std::vector<JobOutcome> outcomes = runMemoized(jobs);
 
     // Prefetch dummies carry no machine label and are skipped, so
     // the manifest lists exactly the jobs figures asked for.

@@ -39,7 +39,10 @@ class SweepTraceLog;
 /** One unit of sweep work: a trace × a machine model. */
 struct SweepJob
 {
-    /** Benchmark name, resolved through the TraceCache. */
+    /**
+     * Benchmark name, resolved through the TraceCache; also the
+     * program label of this job's result, however it is served.
+     */
     std::string trace;
     /** The simulation to run on that trace. */
     std::function<SimResult(const Trace &)> run;
@@ -112,28 +115,18 @@ struct JobRecord
  * execution policy (threads, store) lives in the backend.
  *
  * The memo keys every cacheable job (non-empty configKey) by its
- * trace's content hash, config key and scale — the ResultStore key —
- * plus the trace name its result carries as the program label.
- * Duplicates within a batch reach the backend once; repeats of an
- * earlier batch never reach it. The key is content-based, never a
- * trace's address: a synthetic trace freed after one batch may be
+ * trace's content hash, config key and scale — the ResultStore key,
+ * resultKey(). Duplicates within a batch reach the backend once;
+ * repeats of an earlier batch never reach it. Every result is
+ * stamped with its own job's trace name as the program label, so
+ * jobs over one trace that ask for different labels share one
+ * simulation but keep their labels. The key is content-based, never
+ * a trace's address: a synthetic trace freed after one batch may be
  * reallocated at the same address with different instructions.
  */
 class SweepEngine
 {
   public:
-    /** Whether run() may serve results from the memo. */
-    enum class Memo
-    {
-        Use,
-        /**
-         * Send every job to the backend (the store, if any, still
-         * applies) and leave the memo untouched: for batches that
-         * time simulation rather than consume results.
-         */
-        Bypass,
-    };
-
     /**
      * In-process convenience constructor, the default everywhere a
      * figure or test doesn't care about backends.
@@ -155,8 +148,7 @@ class SweepEngine
      * Run all jobs and return their results, index-aligned with
      * @p jobs (submission order, not completion order).
      */
-    std::vector<SimResult> run(const std::vector<SweepJob> &jobs,
-                               Memo memo = Memo::Use) const;
+    std::vector<SimResult> run(const std::vector<SweepJob> &jobs) const;
 
     /**
      * Generate (and cache) the named traces using the worker pool,

@@ -14,53 +14,19 @@ namespace oova
 const char *
 stallCauseName(StallCause cause)
 {
-    switch (cause) {
-    case StallCause::None:
-        return "none";
-    case StallCause::ScalarDep:
-        return "scalar-dep";
-    case StallCause::VectorDep:
-        return "vector-dep";
-    case StallCause::WarWaw:
-        return "war/waw";
-    case StallCause::FuBusy:
-        return "fu-busy";
-    case StallCause::MemUnit:
-        return "mem-unit";
-    case StallCause::Ports:
-        return "ports";
-    case StallCause::Branch:
-        return "branch";
-    default:
-        return "?";
-    }
+    static constexpr const char *kNames[] = {
+        OOVA_STALL_CAUSES(OOVA_LABEL)};
+    auto i = static_cast<unsigned>(cause);
+    return i < kNumStallCauses ? kNames[i] : "?";
 }
 
 const char *
 cpiBucketName(CpiBucket bucket)
 {
-    switch (bucket) {
-    case CpiBucket::Commit:
-        return "commit";
-    case CpiBucket::Fetch:
-        return "fetch";
-    case CpiBucket::Rename:
-        return "rename";
-    case CpiBucket::QueueFull:
-        return "queue-full";
-    case CpiBucket::OperandWait:
-        return "operand-wait";
-    case CpiBucket::FuBusy:
-        return "fu-busy";
-    case CpiBucket::Memory:
-        return "memory";
-    case CpiBucket::TlbTrap:
-        return "tlb-trap";
-    case CpiBucket::Drain:
-        return "drain";
-    default:
-        return "?";
-    }
+    static constexpr const char *kNames[] = {
+        OOVA_CPI_BUCKETS(OOVA_LABEL)};
+    auto i = static_cast<unsigned>(bucket);
+    return i < kNumCpiBuckets ? kNames[i] : "?";
 }
 
 namespace

@@ -19,18 +19,24 @@
 namespace oova
 {
 
-/** Why an in-order issue slot was delayed (REF diagnostics). */
+/**
+ * Why an in-order issue slot was delayed (REF diagnostics): one
+ * X(Enumerator, "label") list generates StallCause and
+ * stallCauseName().
+ */
+#define OOVA_STALL_CAUSES(X)                                               \
+    X(None, "none")            /* issued back to back */                   \
+    X(ScalarDep, "scalar-dep") /* waiting on a scalar source */            \
+    X(VectorDep, "vector-dep") /* waiting on a vector source (RAW) */      \
+    X(WarWaw, "war/waw")       /* destination register still in use */     \
+    X(FuBusy, "fu-busy")       /* functional unit occupied */              \
+    X(MemUnit, "mem-unit")     /* memory unit still streaming addresses */ \
+    X(Ports, "ports")          /* register-file port conflict */           \
+    X(Branch, "branch")        /* post-branch redirect bubble */
+
 enum class StallCause : uint8_t
 {
-    None,      ///< issued back to back
-    ScalarDep, ///< waiting on a scalar source
-    VectorDep, ///< waiting on a vector source (RAW)
-    WarWaw,    ///< destination register still in use
-    FuBusy,    ///< functional unit occupied
-    MemUnit,   ///< memory unit still streaming addresses
-    Ports,     ///< register-file port conflict
-    Branch,    ///< post-branch redirect bubble
-    NumCauses,
+    OOVA_STALL_CAUSES(OOVA_ENUMERATOR) NumCauses,
 };
 
 constexpr unsigned kNumStallCauses =
@@ -44,20 +50,24 @@ const char *stallCauseName(StallCause cause);
  * simulators charge every cycle of a run to exactly one bucket when
  * cycle accounting is enabled (off by default); the conservation
  * invariant (buckets sum to `cycles`) is enforced by the
- * cpi-conservation checker in src/check/.
+ * cpi-conservation checker in src/check/. One X(Enumerator,
+ * "label") list generates CpiBucket and cpiBucketName(); the labels
+ * are also the README's CPI-bucket table (lint-enforced).
  */
+#define OOVA_CPI_BUCKETS(X)                                                      \
+    X(Commit, "commit")            /* at least one instruction retired */        \
+    X(Fetch, "fetch")              /* front end empty: fetch/BTB-limited */      \
+    X(Rename, "rename")            /* free-list empty: rename-limited */         \
+    X(QueueFull, "queue-full")     /* dispatch blocked on a full aQ/sQ/vQ */     \
+    X(OperandWait, "operand-wait") /* head waiting on source operands */         \
+    X(FuBusy, "fu-busy")           /* ready but lost the FU/issue-port race */   \
+    X(Memory, "memory")            /* memory unit, bank, or MSHR limited */      \
+    X(TlbTrap, "tlb-trap")         /* TLB miss handling / precise-trap squash */ \
+    X(Drain, "drain")              /* end-of-trace pipeline drain */
+
 enum class CpiBucket : uint8_t
 {
-    Commit,      ///< at least one instruction retired
-    Fetch,       ///< front end empty: fetch/BTB-limited
-    Rename,      ///< free-list empty: rename-limited
-    QueueFull,   ///< dispatch blocked on a full aQ/sQ/vQ
-    OperandWait, ///< head waiting on source operands
-    FuBusy,      ///< ready but lost the FU/issue-port race
-    Memory,      ///< memory unit, bank, or MSHR limited
-    TlbTrap,     ///< TLB miss handling / precise-trap squash
-    Drain,       ///< end-of-trace pipeline drain
-    NumBuckets,
+    OOVA_CPI_BUCKETS(OOVA_ENUMERATOR) NumBuckets,
 };
 
 constexpr unsigned kNumCpiBuckets =
@@ -109,7 +119,7 @@ struct SimResult
     /**
      * Result-schema version, bumped whenever a field is added,
      * removed, or changes meaning. toJson() embeds it, fromJson()
-     * rejects any other value, and the sweep-farm ResultStore folds
+     * rejects any other value, and the ResultStore folds
      * it into the content-addressed key — so a stored record from an
      * older schema is a clean miss, never a silent misparse.
      */

@@ -39,8 +39,8 @@ bool loadTraceFile(Trace &out, const std::string &path);
  * exact bytes saveTrace() would write, including the format
  * magic/version and the trace name. Two traces hash equal iff their
  * serialized forms are identical, and a trace-format version bump
- * changes every hash; this is the trace half of the sweep-farm
- * result-store key.
+ * changes every hash; this is the trace half of the result-store
+ * key.
  */
 uint64_t traceContentHash(const Trace &trace);
 

@@ -55,7 +55,7 @@ sweepConfigs()
 
 TEST(CpiStack, OooBucketsSumToCycles)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     for (auto cfg : sweepConfigs()) {
         cfg.cpiStack = true;
         for (const char *prog : {"hydro2d", "nasa7"}) {
@@ -68,7 +68,7 @@ TEST(CpiStack, OooBucketsSumToCycles)
 
 TEST(CpiStack, RefBucketsSumToCyclesAndCommitCountsIssues)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     RefConfig cfg = makeRefConfig(50);
     cfg.cpiStack = true;
     for (const char *prog : {"hydro2d", "nasa7", "bdna"}) {
@@ -84,7 +84,7 @@ TEST(CpiStack, RefBucketsSumToCyclesAndCommitCountsIssues)
 
 TEST(CpiStack, DisabledLeavesBucketsZero)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     SimResult ooo = simulateOoo(w.get("hydro2d"), makeOooConfig());
     SimResult ref = simulateRef(w.get("hydro2d"), makeRefConfig(50));
     EXPECT_EQ(bucketSum(ooo), 0u);
@@ -115,7 +115,7 @@ TEST(CpiStack, ObservabilityIsObserveOnly)
     // Everything on at once — CPI stack, full audit, live pipeline
     // tracer — must not move a single result field.
     check::resetProcessViolations();
-    Workloads w(kScale);
+    TraceCache w(kScale);
     for (auto cfg : sweepConfigs()) {
         for (const char *prog : {"hydro2d", "nasa7"}) {
             const Trace &t = w.get(prog);

@@ -81,7 +81,7 @@ sweepConfigs()
 
 TEST(Determinism, RepeatedOooRunsAreIdentical)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     for (const auto &cfg : sweepConfigs()) {
         for (const char *prog : {"hydro2d", "nasa7"}) {
             const Trace &t = w.get(prog);
@@ -94,7 +94,7 @@ TEST(Determinism, RepeatedOooRunsAreIdentical)
 
 TEST(Determinism, RepeatedRefRunsAreIdentical)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     const Trace &t = w.get("hydro2d");
     expectSameResult(simulateRef(t, RefConfig{}),
                      simulateRef(t, RefConfig{}));
@@ -144,7 +144,7 @@ TEST(Determinism, InvariantAuditIsObserveOnly)
     // conservation law alongside the run; it must neither perturb a
     // single result field nor find a violation on any sweep config.
     check::resetProcessViolations();
-    Workloads w(kScale);
+    TraceCache w(kScale);
     for (auto cfg : sweepConfigs()) {
         for (const char *prog : {"hydro2d", "nasa7"}) {
             const Trace &t = w.get(prog);

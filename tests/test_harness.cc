@@ -22,6 +22,7 @@
 #include "harness/resultstore.hh"
 #include "harness/sweep.hh"
 #include "harness/tracecache.hh"
+#include "synthetic_trace.hh"
 #include "tempdir.hh"
 
 using namespace oova;
@@ -206,18 +207,6 @@ counted(SweepJob job, std::atomic<unsigned> &calls)
     return job;
 }
 
-/** A small synthetic vector-load trace whose content varies with @p n. */
-std::shared_ptr<const Trace>
-syntheticTrace(const std::string &name, unsigned n)
-{
-    Trace t(name);
-    for (unsigned i = 0; i <= n; ++i)
-        t.push(makeVLoad(vReg(static_cast<uint8_t>(i % 8)), aReg(0),
-                         0x1000 + static_cast<Addr>(i) * 0x40 * (n + 1),
-                         8 * (n + 1), 64));
-    return std::make_shared<const Trace>(std::move(t));
-}
-
 } // namespace
 
 TEST(SweepMemo, SimulatesEachDistinctJobOnce)
@@ -335,52 +324,6 @@ TEST(SweepMemo, DuplicatesGiveSameResultsAtOneAndEightThreads)
     }
 }
 
-namespace
-{
-
-/** Counts the cacheable jobs that reach the backend below the memo. */
-class CountingBackend : public SweepBackend
-{
-  public:
-    CountingBackend(const TraceCache &traces, unsigned &jobs)
-        : inner_(traces, 2), jobs_(jobs)
-    {
-    }
-
-    std::vector<JobOutcome>
-    run(const std::vector<SweepJob> &jobs) override
-    {
-        for (const SweepJob &job : jobs)
-            jobs_ += job.configKey.empty() ? 0 : 1;
-        return inner_.run(jobs);
-    }
-    unsigned parallelism() const override { return 2; }
-    std::string describe() const override { return "counting"; }
-
-  private:
-    InProcessBackend inner_;
-    unsigned &jobs_;
-};
-
-} // namespace
-
-TEST(SweepMemo, SimspeedTimesSimulationNotTheMemo)
-{
-    // simspeed times batches the figures before it have already run;
-    // the memo must not answer them, or it would time map lookups.
-    TraceCache traces(kTestScale);
-    unsigned simulated = 0;
-    SweepEngine engine(traces,
-                       std::make_unique<CountingBackend>(traces, simulated));
-    const FigureDef *simspeed = findFigure("simspeed");
-    ASSERT_NE(simspeed, nullptr);
-    simspeed->fn(engine);
-    unsigned perRun = simulated;
-    EXPECT_EQ(perRun, 3 * traces.names().size());
-    simspeed->fn(engine);
-    EXPECT_EQ(simulated, 2 * perRun);
-}
-
 TEST(JobSet, IndicesReadBackAfterRun)
 {
     TraceCache traces(kTestScale);
@@ -437,16 +380,7 @@ TEST(TraceCache, ReferencesStableAcrossLookups)
         cache.get(name);
     EXPECT_EQ(&cache.get("hydro2d"), first);
     EXPECT_EQ(cache.get("hydro2d").name(), "hydro2d");
-}
-
-TEST(TraceCache, WorkloadsWrapperSharesSemantics)
-{
-    Workloads w(kTestScale);
-    const Trace *first = &w.get("trfd");
-    for (const auto &name : w.names())
-        w.get(name);
-    EXPECT_EQ(&w.get("trfd"), first);
-    EXPECT_EQ(w.scale(), kTestScale);
+    EXPECT_EQ(cache.names().size(), 10u);
 }
 
 class EnvScaleTest : public ::testing::Test
@@ -509,13 +443,16 @@ TEST(Speedup, ZeroCyclesIsNaNNotZero)
 TEST(FigureRegistry, AllFiguresRegisteredAndFindable)
 {
     const auto &registry = figureRegistry();
-    EXPECT_EQ(registry.size(), 23u);
+    EXPECT_EQ(registry.size(), 22u);
     for (const FigureDef &fig : registry)
         EXPECT_EQ(findFigure(fig.name), &fig) << fig.name;
     // Figures are found by their short id only; the names of the
     // retired per-figure binaries are not aliases.
     EXPECT_EQ(findFigure("fig5_speedup"), nullptr);
     EXPECT_EQ(findFigure("cpi_stack"), nullptr);
+    // Every entry is a deterministic function of (trace, machine);
+    // host timings belong to the simspeed microbenchmarks.
+    EXPECT_EQ(findFigure("simspeed"), nullptr);
     EXPECT_EQ(findFigure("nope"), nullptr);
 }
 

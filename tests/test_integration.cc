@@ -116,15 +116,6 @@ TEST_P(EndToEnd, SimulationIsDeterministic)
 INSTANTIATE_TEST_SUITE_P(AllTen, EndToEnd,
                          ::testing::ValuesIn(benchmarkNames()));
 
-TEST(Harness, WorkloadsCacheReturnsSameTrace)
-{
-    Workloads w(0.25);
-    const Trace &a = w.get("swm256");
-    const Trace &b = w.get("swm256");
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(w.names().size(), 10u);
-}
-
 TEST(Harness, ConfigBuilders)
 {
     RefConfig rc = makeRefConfig(70);

@@ -49,7 +49,7 @@ firstVectorLoadAfter(const Trace &t, SeqNum start)
 
 TEST(PipeTrace, OneRecordPerInstructionWithinLimit)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     const Trace &t = w.get("hydro2d");
     PipeTracer tracer;
     OooConfig cfg = makeOooConfig();
@@ -70,7 +70,7 @@ TEST(PipeTrace, OneRecordPerInstructionWithinLimit)
 
 TEST(PipeTrace, LimitBoundsTheTrace)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     PipeTracer tracer(100);
     OooConfig cfg = makeOooConfig();
     cfg.pipeTracer = &tracer;
@@ -82,7 +82,7 @@ TEST(PipeTrace, LimitBoundsTheTrace)
 
 TEST(PipeTrace, SquashedReplayGetsZeroRetireTick)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     const Trace &t = w.get("hydro2d");
     SeqNum victim = firstVectorLoadAfter(t, t.size() / 2);
     ASSERT_NE(victim, kNoSeq);
@@ -128,7 +128,7 @@ TEST(PipeTrace, IndependentOfSweepThreadCount)
 
 TEST(PipeTrace, TracingIsObserveOnly)
 {
-    Workloads w(kScale);
+    TraceCache w(kScale);
     const Trace &t = w.get("bdna");
     OooConfig cfg = makeOooConfig();
     SimResult off = simulateOoo(t, cfg);

@@ -26,6 +26,7 @@
 #include "harness/figure.hh"
 #include "harness/resultstore.hh"
 #include "harness/sweep.hh"
+#include "synthetic_trace.hh"
 #include "tempdir.hh"
 #include "trace/trace_io.hh"
 
@@ -755,6 +756,43 @@ TEST(StoreBackend, InlineTraceJobsAreCacheable)
         EXPECT_TRUE(second[i].fromStore);
         expectSameResult(first[i].result, second[i].result);
     }
+}
+
+TEST(StoreBackend, HitCarriesItsOwnJobsProgramLabel)
+{
+    // A result's program label is its job's trace name on every
+    // path. Two jobs over one trace that ask for different labels
+    // share one store entry (the key covers the trace, not the
+    // label), so a hit must carry the asking job's label, not that
+    // of the job that stored the entry.
+    TempDir dir("label");
+    TraceCache traces(kScale);
+    SweepJob left = oooTraceJob(syntheticTrace("left", 3),
+                                makeOooConfig(16, 16, 50));
+    SweepJob right = left;
+    right.trace = "right";
+    ResultStore store(dir.path());
+    auto engine = [&] {
+        return SweepEngine(
+            traces, std::make_unique<StoreBackend>(
+                        store, traces,
+                        std::make_unique<InProcessBackend>(traces, 1)));
+    };
+
+    SimResult cold = engine().run({left})[0];
+    SimResult warm = engine().run({right})[0];
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(cold.program, "left");
+    EXPECT_EQ(warm.program, "right");
+    EXPECT_EQ(warm.cycles, cold.cycles);
+
+    // The same holds when the job is simulated, and for an in-batch
+    // duplicate the memo answers.
+    SweepEngine plain(traces, 1);
+    EXPECT_EQ(plain.run({right})[0].program, "right");
+    std::vector<SimResult> both = SweepEngine(traces, 1).run({left, right});
+    EXPECT_EQ(both[0].program, "left");
+    EXPECT_EQ(both[1].program, "right");
 }
 
 TEST(StoreBackend, UncacheableJobsBypassTheStore)

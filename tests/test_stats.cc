@@ -306,7 +306,7 @@ TEST(Telemetry, SamplingIsObserveOnly)
 {
     // Turning occupancy sampling on must not move a single
     // result field the figures read.
-    Workloads w(kScale);
+    TraceCache w(kScale);
     auto expectCoreFieldsEqual = [](const SimResult &a,
                                     const SimResult &b) {
         EXPECT_EQ(a.cycles, b.cycles);
