@@ -1,35 +1,31 @@
 #!/usr/bin/env python3
 """Project-specific lint gate.
 
-Eight repo invariants that neither the compiler nor clang-tidy can
+Six repo invariants that neither the compiler nor clang-tidy can
 see, each of which has bitten (or nearly bitten) a past PR:
 
-  1. Every registered figure has a checked-in golden
-     (tests/golden/<name>.txt), so no figure dodges the output gate.
-  2. Every golden belongs to a registered figure — orphans mean the
-     gate is diffing against nothing.
-  3. Every data member and derived accessor of struct SimResult has
+  1. Every data member and derived accessor of struct SimResult has
      an entry in its field table, SimResult::visitFields() in
      src/mem/simresult.hh. toJson() and fromJson() are both derived
      from that table, so a counter missing from it would stay out of
      the machine-readable output and silently zero itself on every
      result-store hit.
-  4. Every field-table entry is keyed by the name of the member it
+  2. Every field-table entry is keyed by the name of the member it
      serializes (f("cycles", r.cycles)), so a copy-pasted entry
      cannot write one counter under another's JSON key.
-  5. No naked new/delete outside the dedicated storage code: the
+  3. No naked new/delete outside the dedicated storage code: the
      simulator's hot-path storage is slab/sliding-queue based, and
      ad-hoc ownership has no place next to it.
-  6. Every CpiBucket label (the OOVA_CPI_BUCKETS list, which
+  4. Every CpiBucket label (the OOVA_CPI_BUCKETS list, which
      generates both the enum and cpiBucketName(), surfaced by
      toJson()) has a row in the README's CPI-bucket table, and vice
      versa — a bucket nobody can read about is dead observability.
-  7. Every data member of the machine-config structs (OooConfig,
+  5. Every data member of the machine-config structs (OooConfig,
      RefConfig, MemConfig, TlbConfig, LatencyTable) is serialized in
      the config-key region of src/harness/sweep.cc (or explicitly
      allowlisted as observe-only) — a knob missing from
      sweepConfigKey() would alias store entries of runs that set it.
-  8. Every OccStruct label (the OOVA_OCC_STRUCTS list, which
+  6. Every OccStruct label (the OOVA_OCC_STRUCTS list, which
      generates both the enum and occStructName()) has a row in the
      README's occupancy-structure table, and vice versa; and both
      telemetry renderers (SimResult::toJson() in simresult.cc, the
@@ -37,6 +33,10 @@ see, each of which has bitten (or nearly bitten) a past PR:
      every registered occupancy distribution reaches both output
      surfaces — a structure nobody can read about, parse out of the
      JSON, or grep out of the stats dump is dead telemetry.
+
+Figure <-> golden completeness is scripts/check_goldens.sh's job
+(MISSING GOLDENS / ORPHAN GOLDENS), which reads the registry from
+`oova_bench --list` rather than from the source.
 
 Exit code: 0 clean, 1 violations (each printed as "LINT: ...").
 """
@@ -60,42 +60,7 @@ def err(msg: str) -> None:
 
 
 # ---------------------------------------------------------------
-# Rules 1 + 2: figure registry <-> goldens, both directions.
-# ---------------------------------------------------------------
-
-def registered_figures() -> set:
-    """Figure names, from the registry table."""
-    src = (ROOT / "src/harness/figures.cc").read_text()
-    # Parse only the figureRegistry() body: other tables in the file
-    # also hold brace-initialized string pairs.
-    m = re.search(r"figureRegistry\(\)\s*\{(.*)", src, re.S)
-    if not m:
-        err("figureRegistry() not found in src/harness/figures.cc")
-        return set()
-    return set(re.findall(r'\{"([a-z0-9]+)",', m.group(1)))
-
-
-figures = registered_figures()
-if len(figures) < 10:
-    err(f"figure registry parse found only {len(figures)} entries "
-        "in src/harness/figures.cc; the parser is broken")
-
-golden_dir = ROOT / "tests/golden"
-goldens = {p.stem for p in golden_dir.glob("*.txt")}
-
-for name in sorted(figures):
-    if name not in goldens:
-        err(f"figure '{name}' has no golden "
-            f"(tests/golden/{name}.txt); capture it with "
-            "scripts/check_goldens.sh --update")
-
-for name in sorted(goldens):
-    if name not in figures:
-        err(f"orphan golden tests/golden/{name}.txt matches no "
-            "registered figure")
-
-# ---------------------------------------------------------------
-# Rules 3 + 4: every SimResult member and derived accessor is in the
+# Rules 1 + 2: every SimResult member and derived accessor is in the
 # field table, and every table entry is keyed by its member's name.
 # ---------------------------------------------------------------
 
@@ -160,7 +125,7 @@ for field in fields:
             "it back from a result-store hit")
 
 # ---------------------------------------------------------------
-# Rule 5: no naked new/delete outside dedicated storage code.
+# Rule 3: no naked new/delete outside dedicated storage code.
 # ---------------------------------------------------------------
 
 NEW_RE = re.compile(r"\bnew\b\s+[A-Za-z_(]")
@@ -182,7 +147,7 @@ for sub in ("src", "bench", "examples"):
                     "slab, a container, or a smart pointer")
 
 # ---------------------------------------------------------------
-# Rules 6 + 8 share one parser: an X(Enumerator, "label") list, the
+# Rules 4 + 6 share one parser: an X(Enumerator, "label") list, the
 # one declaration of both an enum and its *Name() labels.
 # ---------------------------------------------------------------
 
@@ -224,12 +189,12 @@ def check_readme_table(what: str, labels: list, heading: str) -> None:
                 f"{what} label")
 
 
-# Rule 6: CPI buckets <-> README bucket table.
+# Rule 4: CPI buckets <-> README bucket table.
 cpi_entries = label_list("OOVA_CPI_BUCKETS", "src/mem/simresult.hh")
 check_readme_table("CPI bucket", cpi_entries, "### CPI buckets")
 
 # ---------------------------------------------------------------
-# Rule 7: every machine-config data member is serialized in the
+# Rule 5: every machine-config data member is serialized in the
 # config-key region of src/harness/sweep.cc (or allowlisted).
 # ---------------------------------------------------------------
 
@@ -302,7 +267,7 @@ for struct, rel in CONFIG_STRUCTS:
                 "only in scripts/lint_oova.py)")
 
 # ---------------------------------------------------------------
-# Rule 8: occupancy structures <-> README occupancy table, and both
+# Rule 6: occupancy structures <-> README occupancy table, and both
 # telemetry renderers emit through occStructName().
 # ---------------------------------------------------------------
 
@@ -324,7 +289,7 @@ if errors:
     print(f"lint_oova: {len(errors)} violation(s)")
     sys.exit(1)
 print("lint_oova: all checks passed "
-      f"({len(figures)} figures, {len(fields)} SimResult fields, "
+      f"({len(fields)} SimResult fields, "
       f"{len(cpi_entries)} CPI buckets, "
       f"{config_member_count} config-key members, "
       f"{len(occ_entries)} occupancy structures)")

@@ -60,24 +60,6 @@ TextTable::str() const
 }
 
 std::string
-TextTable::csv() const
-{
-    std::ostringstream os;
-    auto emitRow = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            os << row[c];
-        }
-        os << '\n';
-    };
-    emitRow(headers_);
-    for (const auto &row : rows_)
-        emitRow(row);
-    return os.str();
-}
-
-std::string
 TextTable::fmt(double v, int precision)
 {
     std::ostringstream os;

@@ -2,7 +2,7 @@
  * @file
  * Plain-text table formatting for the benchmark harness. Every
  * reproduced paper table/figure is emitted through TextTable so the
- * output is aligned for humans and optionally machine-readable CSV.
+ * output is aligned for humans.
  */
 
 #ifndef OOVA_COMMON_TABLE_HH
@@ -25,9 +25,6 @@ class TextTable
 
     /** Render with padded columns and a separator under the header. */
     std::string str() const;
-
-    /** Render as CSV (no padding, comma-separated). */
-    std::string csv() const;
 
     size_t numRows() const { return rows_.size(); }
     size_t numCols() const { return headers_.size(); }

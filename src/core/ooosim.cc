@@ -1771,8 +1771,11 @@ OooMachine::eventLive(const Event &ev) const
         return e.inRob && ev.t == e.completeAt;
     }
     case EvMemDone: {
+        // An early-committed store leaves the ROB before its address
+        // phase ends, and younger conflicting accesses still wait on
+        // it from the wait set.
         const RobEntry &e = slab_[ev.id];
-        return e.inRob && ev.t == e.memDoneAt;
+        return (e.inRob || e.inWaitSet) && ev.t == e.memDoneAt;
     }
     case EvRegChain: {
         const PhysReg &p =
@@ -1849,6 +1852,8 @@ OooMachine::nextEventAfterScan() const
             consider(p.readPortFreeAt);
         }
     }
+    for (const RobEntry *e : waitSet_)
+        consider(e->memDoneAt);
     for (const RobEntry *e : elimWait_) {
         if (e->copySrcPhys >= 0) {
             consider(renamer_.file(e->di->dst.cls)

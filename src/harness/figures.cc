@@ -1,18 +1,27 @@
 /**
  * @file
- * Implementations of every paper table/figure as sweep declarations:
- * each builds a flat batch of (benchmark × config) jobs, hands it to
- * the SweepEngine, and assembles its tables from the index-aligned
- * results, so the output is identical no matter how many worker
- * threads execute the batch. Each figure's comment says what the
- * paper reports and what to compare against.
+ * Implementations of every paper table/figure as sweep declarations.
+ * Most figures are data: a list of Columns over the ten programs,
+ * where each Column names the two machines its cells compare (base
+ * and test; one machine twice for a plain count) and the metric a
+ * cell reads from that pair. columnFigure() submits each distinct
+ * (program, machine) of a figure once, runs the batch through the
+ * SweepEngine and formats the rows; breakdownFigure() does the same
+ * for the percent-of-cycles breakdowns. The tables, the synthetic-
+ * trace memory studies and occupancy keep their own code. Results
+ * come back index-aligned, so the output is identical no matter how
+ * many worker threads execute the batch. Each figure's comment says
+ * what the paper reports and what to compare against.
  */
 
 #include <array>
 #include <numeric>
 #include <string>
+#include <unordered_map>
+#include <variant>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 #include "harness/figure.hh"
@@ -25,10 +34,219 @@ namespace oova
 namespace
 {
 
+// ------------------------------------------- column figures, as data
+
+/** The IDEAL bound of figure 5: the trace's resource limit. */
+struct Ideal
+{
+};
+
+/**
+ * A machine a figure runs (REF, the OOOVA or the IDEAL bound), held
+ * as its job with the program left open, so its configKey is built
+ * once however many cells name it.
+ */
+struct Machine
+{
+    Machine(const RefConfig &cfg) : job(refJob("", cfg)) {}
+    Machine(const OooConfig &cfg) : job(oooJob("", cfg)) {}
+    Machine(Ideal) : job(idealJob("")) {}
+    SweepJob job;
+};
+
+/**
+ * A figure's jobs, one per distinct (program, machine), keyed on the
+ * job's configKey (the key the memo and the store use): cells that
+ * name one machine read one result.
+ */
+class Batch
+{
+  public:
+    size_t
+    add(const std::string &program, const Machine &m)
+    {
+        auto [it, fresh] = index_.try_emplace(
+            program + '|' + m.job.configKey, index_.size());
+        if (fresh) {
+            SweepJob job = m.job;
+            job.trace = program;
+            js_.add(std::move(job));
+        }
+        return it->second;
+    }
+    void run(const SweepEngine &engine) { js_.run(engine); }
+    const SimResult &operator[](size_t i) const { return js_[i]; }
+
+  private:
+    JobSet js_;
+    std::unordered_map<std::string, size_t> index_;
+};
+
+/** A cell's number, from its column's base and test results. */
+using Ratio = double (*)(const SimResult &base, const SimResult &test);
+
+/**
+ * One column: each cell reads the base and test machines' results on
+ * its row's program, either as a Ratio printed at @c precision or as
+ * a counter of the test machine.
+ */
+struct Column
+{
+    std::string label;
+    Machine base;
+    Machine test;
+    std::variant<Ratio, uint64_t SimResult::*> metric = speedup;
+    int precision = 2;
+};
+
+/** A single-machine column printing @p field (default: cycles). */
+Column
+count(std::string label, const Machine &m,
+      uint64_t SimResult::*field = &SimResult::cycles)
+{
+    return {std::move(label), m, m, field};
+}
+
+/** test.cycles / base.cycles: how much slower the test machine is. */
+double
+slowdown(const SimResult &base, const SimResult &test)
+{
+    return speedup(test, base);
+}
+
+/** Percentage of the test machine's cycles its memory port idles. */
+double
+portIdlePct(const SimResult &, const SimResult &test)
+{
+    return 100.0 * test.portIdleFraction();
+}
+
+/** One table: columns over programs (all ten when empty). */
+struct Section
+{
+    std::string heading;
+    std::vector<Column> columns;
+    std::vector<std::string> programs = {};
+};
+
+/** A figure of program rows by columns, one table per section. */
+FigureResult
+columnFigure(const SweepEngine &engine,
+             const std::vector<Section> &sections, std::string footnote)
+{
+    auto programs = [&](const Section &s) -> const auto & {
+        return s.programs.empty() ? engine.traces().names()
+                                  : s.programs;
+    };
+    Batch batch;
+    // (base, test) job of every cell, in printing order.
+    std::vector<std::pair<size_t, size_t>> cells;
+    for (const Section &s : sections)
+        for (const std::string &p : programs(s))
+            for (const Column &c : s.columns) {
+                size_t base = batch.add(p, c.base);
+                cells.emplace_back(base, batch.add(p, c.test));
+            }
+    batch.run(engine);
+
+    FigureResult out;
+    auto cell = cells.begin();
+    for (const Section &s : sections) {
+        std::vector<std::string> header{"Program"};
+        for (const Column &c : s.columns)
+            header.push_back(c.label);
+        TextTable table(header);
+        for (const std::string &p : programs(s)) {
+            std::vector<std::string> row{p};
+            for (const Column &c : s.columns) {
+                const SimResult &base = batch[cell->first];
+                const SimResult &test = batch[cell->second];
+                ++cell;
+                if (const auto *field =
+                        std::get_if<uint64_t SimResult::*>(&c.metric))
+                    row.push_back(TextTable::fmt(test.*(*field)));
+                else
+                    row.push_back(TextTable::fmt(
+                        std::get<Ratio>(c.metric)(base, test),
+                        c.precision));
+            }
+            table.addRow(row);
+        }
+        out.sections.push_back({s.heading, std::move(table)});
+    }
+    out.footnote = std::move(footnote);
+    return out;
+}
+
+/**
+ * One section per program: a row per bucket giving each machine's
+ * @p counter as a percentage of its cycles, then a total-cycles row.
+ */
+using Machines = std::vector<std::pair<std::string, Machine>>;
+
+FigureResult
+breakdownFigure(const SweepEngine &engine, const char *rowHeader,
+                const Machines &machines,
+                const std::vector<std::string> &buckets,
+                uint64_t (*counter)(const SimResult &, size_t bucket),
+                std::string footnote)
+{
+    const auto &names = engine.traces().names();
+    Batch batch;
+    std::vector<size_t> idx; // program-major, machine-minor
+    std::vector<std::string> header{rowHeader};
+    for (const auto &[label, m] : machines)
+        header.push_back(label);
+    for (const std::string &p : names)
+        for (const auto &[label, m] : machines)
+            idx.push_back(batch.add(p, m));
+    batch.run(engine);
+
+    FigureResult out;
+    for (size_t p = 0; p < names.size(); ++p) {
+        auto result = [&](size_t m) -> const SimResult & {
+            return batch[idx[p * machines.size() + m]];
+        };
+        TextTable table(header);
+        for (size_t b = 0; b < buckets.size(); ++b) {
+            std::vector<std::string> row{buckets[b]};
+            for (size_t m = 0; m < machines.size(); ++m)
+                row.push_back(TextTable::fmt(
+                    100.0 * static_cast<double>(counter(result(m), b)) /
+                        static_cast<double>(result(m).cycles),
+                    1));
+            table.addRow(row);
+        }
+        std::vector<std::string> total{"total cycles"};
+        for (size_t m = 0; m < machines.size(); ++m)
+            total.push_back(TextTable::fmt(result(m).cycles));
+        table.addRow(total);
+        out.sections.push_back(
+            {"--- " + names[p] + " ---", std::move(table)});
+    }
+    out.footnote = std::move(footnote);
+    return out;
+}
+
 // ------------------------------------------------------------ fig3/7
-// Shared helper: the 8-state execution breakdown tables list states
-// from fully-busy down to all-idle, then a total-cycles row.
-//
+// The 8-state execution breakdown tables list states from fully-busy
+// down to all-idle, then a total-cycles row.
+
+std::vector<std::string>
+unitStates()
+{
+    std::vector<std::string> rows;
+    for (int st = UnitStateBreakdown::kNumStates - 1; st >= 0; --st)
+        rows.push_back(UnitStateBreakdown::stateName(st));
+    return rows;
+}
+
+uint64_t
+unitStateCycles(const SimResult &r, size_t row)
+{
+    return r.stateCycles[UnitStateBreakdown::kNumStates - 1 - row];
+}
+
 // Figure 3 classifies each cycle of the reference architecture by
 // the 3-tuple (FU2, FU1, MEM) of busy units, for memory latencies 1,
 // 20, 70 and 100 (the paper shows hydro2d and dyfesm; all ten
@@ -39,45 +257,14 @@ namespace
 FigureResult
 fig3RefStates(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned lats[] = {1, 20, 70, 100};
-
-    JobSet js;
-    std::vector<std::array<size_t, 4>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p)
-        for (size_t i = 0; i < 4; ++i)
-            idx[p][i] = js.addRef(names[p], makeRefConfig(lats[i]));
-    js.run(engine);
-
-    FigureResult out;
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> hdr{"State"};
-        for (unsigned l : lats)
-            hdr.push_back("lat" + std::to_string(l) + " (%)");
-        TextTable table(hdr);
-        for (int st = UnitStateBreakdown::kNumStates - 1; st >= 0;
-             --st) {
-            std::vector<std::string> row{
-                UnitStateBreakdown::stateName(st)};
-            for (size_t i = 0; i < 4; ++i) {
-                const SimResult &r = js[idx[p][i]];
-                double pct = 100.0 *
-                             static_cast<double>(r.stateCycles[st]) /
-                             static_cast<double>(r.cycles);
-                row.push_back(TextTable::fmt(pct, 1));
-            }
-            table.addRow(row);
-        }
-        std::vector<std::string> tot{"total cycles"};
-        for (size_t i = 0; i < 4; ++i)
-            tot.push_back(TextTable::fmt(js[idx[p][i]].cycles));
-        table.addRow(tot);
-        out.sections.push_back(
-            {"--- " + names[p] + " ---", std::move(table)});
-    }
-    out.footnote = "(paper: few cycles at peak state <FU2,FU1,MEM>; "
-                   "idle state < , , > grows with latency)";
-    return out;
+    Machines machines;
+    for (unsigned lat : {1u, 20u, 70u, 100u})
+        machines.emplace_back(csprintf("lat%u (%%)", lat),
+                              makeRefConfig(lat));
+    return breakdownFigure(
+        engine, "State", machines, unitStates(), unitStateCycles,
+        "(paper: few cycles at peak state <FU2,FU1,MEM>; "
+        "idle state < , , > grows with latency)");
 }
 
 // ------------------------------------------------------------- fig4
@@ -90,30 +277,15 @@ fig3RefStates(const SweepEngine &engine)
 FigureResult
 fig4PortIdle(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned lats[] = {1, 20, 70, 100};
-
-    JobSet js;
-    std::vector<std::array<size_t, 4>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p)
-        for (size_t i = 0; i < 4; ++i)
-            idx[p][i] = js.addRef(names[p], makeRefConfig(lats[i]));
-    js.run(engine);
-
-    TextTable table({"Program", "lat1", "lat20", "lat70", "lat100"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        for (size_t i = 0; i < 4; ++i)
-            row.push_back(TextTable::fmt(
-                100.0 * js[idx[p][i]].portIdleFraction(), 1));
-        table.addRow(row);
+    std::vector<Column> cols;
+    for (unsigned lat : {1u, 20u, 70u, 100u}) {
+        Machine ref = makeRefConfig(lat);
+        cols.push_back(
+            {csprintf("lat%u", lat), ref, ref, portIdlePct, 1});
     }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 30-65% idle at latency 70; all ten "
-                   "programs are memory bound)";
-    return out;
+    return columnFigure(engine, {{"", cols}},
+                        "(paper: 30-65% idle at latency 70; all ten "
+                        "programs are memory bound)");
 }
 
 // ------------------------------------------------------------- fig5
@@ -128,54 +300,18 @@ fig4PortIdle(const SweepEngine &engine)
 FigureResult
 fig5Speedup(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned regs[] = {9, 12, 16, 32, 64};
-
-    struct Row
-    {
-        size_t ref;
-        std::array<size_t, 5> q16;
-        std::array<size_t, 2> q128;
-        size_t ideal;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].ref = js.addRef(names[p], makeRefConfig(50));
-        for (size_t i = 0; i < 5; ++i)
-            idx[p].q16[i] =
-                js.addOoo(names[p], makeOooConfig(regs[i], 16, 50));
-        const unsigned q128regs[] = {16, 64};
-        for (size_t i = 0; i < 2; ++i)
-            idx[p].q128[i] = js.addOoo(
-                names[p], makeOooConfig(q128regs[i], 128, 50));
-        idx[p].ideal = js.addIdeal(names[p]);
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "q16/9r", "q16/12r", "q16/16r",
-                     "q16/32r", "q16/64r", "q128/16r", "q128/64r",
-                     "IDEAL"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p].ref];
-        std::vector<std::string> row{names[p]};
-        for (size_t i = 0; i < 5; ++i)
-            row.push_back(
-                TextTable::fmt(speedup(ref, js[idx[p].q16[i]]), 2));
-        for (size_t i = 0; i < 2; ++i)
-            row.push_back(
-                TextTable::fmt(speedup(ref, js[idx[p].q128[i]]), 2));
-        double ideal = static_cast<double>(ref.cycles) /
-                       static_cast<double>(js[idx[p].ideal].cycles);
-        row.push_back(TextTable::fmt(ideal, 2));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 1.24-1.72 at 16 regs; 12 regs nearly as "
-                   "good; queues 128 ~ queues 16)";
-    return out;
+    const Machine ref = makeRefConfig(50);
+    std::vector<Column> cols;
+    for (unsigned regs : {9u, 12u, 16u, 32u, 64u})
+        cols.push_back({csprintf("q16/%ur", regs), ref,
+                        makeOooConfig(regs, 16, 50)});
+    for (unsigned regs : {16u, 64u})
+        cols.push_back({csprintf("q128/%ur", regs), ref,
+                        makeOooConfig(regs, 128, 50)});
+    cols.push_back({"IDEAL", ref, Ideal{}});
+    return columnFigure(engine, {{"", cols}},
+                        "(paper: 1.24-1.72 at 16 regs; 12 regs nearly "
+                        "as good; queues 128 ~ queues 16)");
 }
 
 // ------------------------------------------------------------- fig6
@@ -187,30 +323,14 @@ fig5Speedup(const SweepEngine &engine)
 FigureResult
 fig6PortIdleOoo(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    JobSet js;
-    std::vector<std::array<size_t, 2>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], makeRefConfig(50));
-        idx[p][1] = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "REF idle%", "OOOVA idle%"});
-    for (size_t p = 0; p < names.size(); ++p)
-        table.addRow(
-            {names[p],
-             TextTable::fmt(100.0 * js[idx[p][0]].portIdleFraction(),
-                            1),
-             TextTable::fmt(100.0 * js[idx[p][1]].portIdleFraction(),
-                            1)});
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: OOOVA cuts idle cycles by more than half "
-                   "in most cases)";
-    return out;
+    const Machine ref = makeRefConfig(50);
+    const Machine ooo = makeOooConfig(16, 16, 50);
+    return columnFigure(engine,
+                        {{"",
+                          {{"REF idle%", ref, ref, portIdlePct, 1},
+                           {"OOOVA idle%", ooo, ooo, portIdlePct, 1}}}},
+                        "(paper: OOOVA cuts idle cycles by more than "
+                        "half in most cases)");
 }
 
 // ------------------------------------------------------------- fig7
@@ -223,44 +343,12 @@ fig6PortIdleOoo(const SweepEngine &engine)
 FigureResult
 fig7StatesOoo(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    JobSet js;
-    std::vector<std::array<size_t, 2>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], makeRefConfig(50));
-        idx[p][1] = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-    }
-    js.run(engine);
-
-    FigureResult out;
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p][0]];
-        const SimResult &ooo = js[idx[p][1]];
-        TextTable table({"State", "REF %", "OOOVA %"});
-        for (int st = UnitStateBreakdown::kNumStates - 1; st >= 0;
-             --st) {
-            table.addRow(
-                {UnitStateBreakdown::stateName(st),
-                 TextTable::fmt(100.0 *
-                                    static_cast<double>(
-                                        ref.stateCycles[st]) /
-                                    static_cast<double>(ref.cycles),
-                                1),
-                 TextTable::fmt(100.0 *
-                                    static_cast<double>(
-                                        ooo.stateCycles[st]) /
-                                    static_cast<double>(ooo.cycles),
-                                1)});
-        }
-        table.addRow({"total cycles", TextTable::fmt(ref.cycles),
-                      TextTable::fmt(ooo.cycles)});
-        out.sections.push_back(
-            {"--- " + names[p] + " ---", std::move(table)});
-    }
-    out.footnote = "(paper: the all-idle state < , , > almost "
-                   "disappears on the OOOVA)";
-    return out;
+    return breakdownFigure(engine, "State",
+                           {{"REF %", makeRefConfig(50)},
+                            {"OOOVA %", makeOooConfig(16, 16, 50)}},
+                           unitStates(), unitStateCycles,
+                           "(paper: the all-idle state < , , > almost "
+                           "disappears on the OOOVA)");
 }
 
 // ------------------------------------------------------------- fig8
@@ -273,54 +361,22 @@ fig7StatesOoo(const SweepEngine &engine)
 FigureResult
 fig8Latency(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
     const unsigned lats[] = {1, 50, 100};
-
-    struct Row
-    {
-        std::array<size_t, 3> ref;
-        std::array<size_t, 3> ooo;
-        size_t ideal;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i)
-            idx[p].ref[i] = js.addRef(names[p], makeRefConfig(lats[i]));
-        for (size_t i = 0; i < 3; ++i)
-            idx[p].ooo[i] =
-                js.addOoo(names[p], makeOooConfig(16, 16, lats[i]));
-        idx[p].ideal = js.addIdeal(names[p]);
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "REF@1", "REF@50", "REF@100", "OOO@1",
-                     "OOO@50", "OOO@100", "IDEAL", "OOO 100/1",
-                     "spdup@1"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].ref[i]].cycles));
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].ooo[i]].cycles));
-        row.push_back(TextTable::fmt(js[idx[p].ideal].cycles));
-        Cycle ref1 = js[idx[p].ref[0]].cycles;
-        Cycle ooo1 = js[idx[p].ooo[0]].cycles;
-        Cycle ooo100 = js[idx[p].ooo[2]].cycles;
-        row.push_back(TextTable::fmt(
-            static_cast<double>(ooo100) / static_cast<double>(ooo1),
-            2));
-        row.push_back(TextTable::fmt(
-            static_cast<double>(ref1) / static_cast<double>(ooo1),
-            2));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: OOOVA flat across 1..100 cycles; speedup "
-                   "1.15-1.25 even at latency 1)";
-    return out;
+    std::vector<Column> cols;
+    for (unsigned lat : lats)
+        cols.push_back(
+            count(csprintf("REF@%u", lat), makeRefConfig(lat)));
+    for (unsigned lat : lats)
+        cols.push_back(count(csprintf("OOO@%u", lat),
+                             makeOooConfig(16, 16, lat)));
+    cols.push_back(count("IDEAL", Ideal{}));
+    cols.push_back({"OOO 100/1", makeOooConfig(16, 16, 1),
+                    makeOooConfig(16, 16, 100), slowdown});
+    cols.push_back(
+        {"spdup@1", makeRefConfig(1), makeOooConfig(16, 16, 1)});
+    return columnFigure(engine, {{"", cols}},
+                        "(paper: OOOVA flat across 1..100 cycles; "
+                        "speedup 1.15-1.25 even at latency 1)");
 }
 
 // ------------------------------------------------------------- fig9
@@ -334,225 +390,107 @@ fig8Latency(const SweepEngine &engine)
 FigureResult
 fig9Commit(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned earlyRegs[] = {9, 16, 64};
-    const unsigned lateRegs[] = {9, 12, 16, 32, 64};
-
-    struct Row
-    {
-        size_t ref;
-        std::array<size_t, 3> early;
-        std::array<size_t, 5> late;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].ref = js.addRef(names[p], makeRefConfig(50));
-        for (size_t i = 0; i < 3; ++i)
-            idx[p].early[i] = js.addOoo(
-                names[p], makeOooConfig(earlyRegs[i], 16, 50,
-                                        CommitMode::Early));
-        for (size_t i = 0; i < 5; ++i)
-            idx[p].late[i] = js.addOoo(
-                names[p],
-                makeOooConfig(lateRegs[i], 16, 50, CommitMode::Late));
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "e/9r", "e/16r", "e/64r", "l/9r",
-                     "l/12r", "l/16r", "l/32r", "l/64r",
-                     "late/early@16"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p].ref];
-        std::vector<std::string> row{names[p]};
-        double early16 = 0, late16 = 0;
-        for (size_t i = 0; i < 3; ++i) {
-            double s = speedup(ref, js[idx[p].early[i]]);
-            if (earlyRegs[i] == 16)
-                early16 = s;
-            row.push_back(TextTable::fmt(s, 2));
-        }
-        for (size_t i = 0; i < 5; ++i) {
-            double s = speedup(ref, js[idx[p].late[i]]);
-            if (lateRegs[i] == 16)
-                late16 = s;
-            row.push_back(TextTable::fmt(s, 2));
-        }
-        row.push_back(TextTable::fmt(late16 / early16, 2));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: late commit costs <10% for eight programs "
-                   "but 41%/47% for trfd/dyfesm)";
-    return out;
+    const Machine ref = makeRefConfig(50);
+    std::vector<Column> cols;
+    for (unsigned regs : {9u, 16u, 64u})
+        cols.push_back({csprintf("e/%ur", regs), ref,
+                        makeOooConfig(regs, 16, 50, CommitMode::Early)});
+    for (unsigned regs : {9u, 12u, 16u, 32u, 64u})
+        cols.push_back({csprintf("l/%ur", regs), ref,
+                        makeOooConfig(regs, 16, 50, CommitMode::Late)});
+    cols.push_back({"late/early@16",
+                    makeOooConfig(16, 16, 50, CommitMode::Early),
+                    makeOooConfig(16, 16, 50, CommitMode::Late)});
+    return columnFigure(engine, {{"", cols}},
+                        "(paper: late commit costs <10% for eight "
+                        "programs but 41%/47% for trfd/dyfesm)");
 }
 
-// ------------------------------------------------------------ fig11
-// Speedup of scalar load elimination (SLE) over the late-commit
-// OOOVA, for 16/32/64 physical vector registers. The paper: most
-// programs gain under 5%, but trfd and dyfesm reach 1.30/1.36
-// because bypassing scalar loop-carried data lets the machine
-// overlap ("dynamically unroll") more iterations.
+// ------------------------------------------------------- fig11-13
+// The load-elimination figures compare against the late-commit OOOVA
+// at queue depth 16 and memory latency 50.
+
+Machine
+lateOoo(unsigned regs, LoadElimMode elim = LoadElimMode::None)
+{
+    return makeOooConfig(regs, 16, 50, CommitMode::Late, elim);
+}
+
+// Figure 11: speedup of scalar load elimination (SLE) over the
+// late-commit OOOVA, for 16/32/64 physical vector registers. The
+// paper: most programs gain under 5%, but trfd and dyfesm reach
+// 1.30/1.36 because bypassing scalar loop-carried data lets the
+// machine overlap ("dynamically unroll") more iterations.
 
 FigureResult
 fig11Sle(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned regs[] = {16, 32, 64};
-
-    struct Row
-    {
-        std::array<size_t, 3> base;
-        std::array<size_t, 3> sle;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i) {
-            idx[p].base[i] = js.addOoo(
-                names[p],
-                makeOooConfig(regs[i], 16, 50, CommitMode::Late));
-            idx[p].sle[i] = js.addOoo(
-                names[p], makeOooConfig(regs[i], 16, 50,
-                                        CommitMode::Late,
-                                        LoadElimMode::Sle));
-        }
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "16r", "32r", "64r", "sElims@32"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        uint64_t elims = 0;
-        for (size_t i = 0; i < 3; ++i) {
-            const SimResult &sle = js[idx[p].sle[i]];
-            if (regs[i] == 32)
-                elims = sle.scalarLoadsEliminated;
-            row.push_back(
-                TextTable::fmt(speedup(js[idx[p].base[i]], sle), 2));
-        }
-        row.push_back(TextTable::fmt(elims));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: <1.05 for most programs; 1.30/1.36 for "
-                   "trfd/dyfesm at 32 regs)";
-    return out;
+    std::vector<Column> cols;
+    for (unsigned regs : {16u, 32u, 64u})
+        cols.push_back({csprintf("%ur", regs), lateOoo(regs),
+                        lateOoo(regs, LoadElimMode::Sle)});
+    cols.push_back(count("sElims@32", lateOoo(32, LoadElimMode::Sle),
+                         &SimResult::scalarLoadsEliminated));
+    return columnFigure(engine, {{"", cols}},
+                        "(paper: <1.05 for most programs; 1.30/1.36 "
+                        "for trfd/dyfesm at 32 regs)");
 }
 
-// ------------------------------------------------------------ fig12
-// Speedup of SLE+VLE (scalar + vector dynamic load elimination) over
-// the late-commit OOOVA, for 16/32/64 physical vector registers. The
-// paper: 1.04-1.16 for most programs at 16 registers (1.78 and 2.13
-// for dyfesm/trfd); at 32 registers typically 1.10-1.20; 64
-// registers add little except tomcatv (1.19 -> 1.40).
+// Figure 12: speedup of SLE+VLE (scalar + vector dynamic load
+// elimination) over the late-commit OOOVA, for 16/32/64 physical
+// vector registers. The paper: 1.04-1.16 for most programs at 16
+// registers (1.78 and 2.13 for dyfesm/trfd); at 32 registers
+// typically 1.10-1.20; 64 registers add little except tomcatv
+// (1.19 -> 1.40).
 
 FigureResult
 fig12SleVle(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned regs[] = {16, 32, 64};
-
-    struct Row
-    {
-        std::array<size_t, 3> base;
-        std::array<size_t, 3> vle;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i) {
-            idx[p].base[i] = js.addOoo(
-                names[p],
-                makeOooConfig(regs[i], 16, 50, CommitMode::Late));
-            idx[p].vle[i] = js.addOoo(
-                names[p], makeOooConfig(regs[i], 16, 50,
-                                        CommitMode::Late,
-                                        LoadElimMode::SleVle));
-        }
-    }
-    js.run(engine);
-
-    TextTable table(
-        {"Program", "16r", "32r", "64r", "vElims@32", "sElims@32"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        uint64_t velims = 0, selims = 0;
-        for (size_t i = 0; i < 3; ++i) {
-            const SimResult &vle = js[idx[p].vle[i]];
-            if (regs[i] == 32) {
-                velims = vle.vectorLoadsEliminated;
-                selims = vle.scalarLoadsEliminated;
-            }
-            row.push_back(
-                TextTable::fmt(speedup(js[idx[p].base[i]], vle), 2));
-        }
-        row.push_back(TextTable::fmt(velims));
-        row.push_back(TextTable::fmt(selims));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 1.04-1.16 typical at 16 regs, up to 2.13 "
-                   "trfd; 1.10-1.20 at 32 regs)";
-    return out;
+    const Machine vle32 = lateOoo(32, LoadElimMode::SleVle);
+    std::vector<Column> cols;
+    for (unsigned regs : {16u, 32u, 64u})
+        cols.push_back({csprintf("%ur", regs), lateOoo(regs),
+                        lateOoo(regs, LoadElimMode::SleVle)});
+    cols.push_back(
+        count("vElims@32", vle32, &SimResult::vectorLoadsEliminated));
+    cols.push_back(
+        count("sElims@32", vle32, &SimResult::scalarLoadsEliminated));
+    return columnFigure(engine, {{"", cols}},
+                        "(paper: 1.04-1.16 typical at 16 regs, up to "
+                        "2.13 trfd; 1.10-1.20 at 32 regs)");
 }
 
-// ------------------------------------------------------------ fig13
-// Memory-traffic reduction under dynamic load elimination with 32
-// physical vector registers: the ratio of address-bus requests
-// issued by the baseline late-commit OOOVA to those issued by the
-// SLE and SLE+VLE configurations. The paper: SLE+VLE removes 15-20%
-// of all memory requests for most programs and up to 40% for
+// Figure 13: memory-traffic reduction under dynamic load elimination
+// with 32 physical vector registers: the ratio of address-bus
+// requests issued by the baseline late-commit OOOVA to those issued
+// by the SLE and SLE+VLE configurations. The paper: SLE+VLE removes
+// 15-20% of all memory requests for most programs and up to 40% for
 // trfd/dyfesm.
+
+double
+trafficReduction(const SimResult &base, const SimResult &test)
+{
+    return 100.0 * (1.0 - static_cast<double>(test.memRequests) /
+                              static_cast<double>(base.memRequests));
+}
 
 FigureResult
 fig13Traffic(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    JobSet js;
-    std::vector<std::array<size_t, 3>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addOoo(
-            names[p], makeOooConfig(32, 16, 50, CommitMode::Late));
-        idx[p][1] = js.addOoo(
-            names[p], makeOooConfig(32, 16, 50, CommitMode::Late,
-                                    LoadElimMode::Sle));
-        idx[p][2] = js.addOoo(
-            names[p], makeOooConfig(32, 16, 50, CommitMode::Late,
-                                    LoadElimMode::SleVle));
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "base reqs", "SLE reqs",
-                     "SLE+VLE reqs", "SLE red%", "SLE+VLE red%"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &base = js[idx[p][0]];
-        const SimResult &sle = js[idx[p][1]];
-        const SimResult &vle = js[idx[p][2]];
-        auto reduction = [&](const SimResult &x) {
-            return 100.0 * (1.0 - static_cast<double>(x.memRequests) /
-                                      static_cast<double>(
-                                          base.memRequests));
-        };
-        table.addRow({names[p], TextTable::fmt(base.memRequests),
-                      TextTable::fmt(sle.memRequests),
-                      TextTable::fmt(vle.memRequests),
-                      TextTable::fmt(reduction(sle), 1),
-                      TextTable::fmt(reduction(vle), 1)});
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 15-20% typical reduction, up to 40% for "
-                   "trfd/dyfesm)";
-    return out;
+    const Machine base = lateOoo(32);
+    const Machine sle = lateOoo(32, LoadElimMode::Sle);
+    const Machine vle = lateOoo(32, LoadElimMode::SleVle);
+    const auto reqs = &SimResult::memRequests;
+    return columnFigure(engine,
+                        {{"",
+                          {count("base reqs", base, reqs),
+                           count("SLE reqs", sle, reqs),
+                           count("SLE+VLE reqs", vle, reqs),
+                           {"SLE red%", base, sle, trafficReduction, 1},
+                           {"SLE+VLE red%", base, vle, trafficReduction,
+                            1}}}},
+                        "(paper: 15-20% typical reduction, up to 40% "
+                        "for trfd/dyfesm)");
 }
 
 // ------------------------------------------------------------- tab1
@@ -673,119 +611,37 @@ tab3Spills(const SweepEngine &engine)
 FigureResult
 ablAblations(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const std::vector<std::string> queueProgs = {"swm256", "trfd",
-                                                 "dyfesm", "bdna"};
-    const std::vector<std::string> portProgs = {"swm256", "arc2d",
-                                                "su2cor"};
-    const std::vector<std::string> widthProgs = {"tomcatv", "dyfesm"};
-    const unsigned queues[] = {4, 8, 16, 32, 64, 128};
-    const unsigned widths[] = {1, 2, 4, 8};
+    const Machine ref = makeRefConfig(50);
+    const OooConfig base = makeOooConfig(16, 16, 50);
+    OooConfig chain = base;
+    chain.chainLoadsToFus = true;
+    RefConfig ports = makeRefConfig(50);
+    ports.modelPortConflicts = true;
 
-    JobSet js;
-
-    // 1. load->FU chaining.
-    std::vector<std::array<size_t, 2>> chainIdx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        OooConfig base = makeOooConfig(16, 16, 50);
-        OooConfig chain = base;
-        chain.chainLoadsToFus = true;
-        chainIdx[p][0] = js.addOoo(names[p], base);
-        chainIdx[p][1] = js.addOoo(names[p], chain);
+    std::vector<Column> queue, width;
+    for (unsigned q : {4u, 8u, 16u, 32u, 64u, 128u})
+        queue.push_back(
+            {csprintf("q%u", q), ref, makeOooConfig(16, q, 50)});
+    for (unsigned w : {1u, 2u, 4u, 8u}) {
+        OooConfig c = base;
+        c.commitWidth = w;
+        width.push_back(count(csprintf("w%u", w), c));
     }
-
-    // 2. queue depth sweep.
-    struct QueueRow
-    {
-        size_t ref;
-        std::array<size_t, 6> ooo;
-    };
-    std::vector<QueueRow> queueIdx(queueProgs.size());
-    for (size_t p = 0; p < queueProgs.size(); ++p) {
-        queueIdx[p].ref = js.addRef(queueProgs[p], makeRefConfig(50));
-        for (size_t i = 0; i < 6; ++i)
-            queueIdx[p].ooo[i] = js.addOoo(
-                queueProgs[p], makeOooConfig(16, queues[i], 50));
-    }
-
-    // 3. REF banked-file port conflicts.
-    std::vector<std::array<size_t, 2>> portIdx(portProgs.size());
-    for (size_t p = 0; p < portProgs.size(); ++p) {
-        RefConfig off = makeRefConfig(50);
-        RefConfig on = makeRefConfig(50);
-        on.modelPortConflicts = true;
-        portIdx[p][0] = js.addRef(portProgs[p], off);
-        portIdx[p][1] = js.addRef(portProgs[p], on);
-    }
-
-    // 4. commit width.
-    std::vector<std::array<size_t, 4>> widthIdx(widthProgs.size());
-    for (size_t p = 0; p < widthProgs.size(); ++p)
-        for (size_t i = 0; i < 4; ++i) {
-            OooConfig c = makeOooConfig(16, 16, 50);
-            c.commitWidth = widths[i];
-            widthIdx[p][i] = js.addOoo(widthProgs[p], c);
-        }
-
-    js.run(engine);
-
-    FigureResult out;
-    {
-        TextTable t({"Program", "no-chain cyc", "chain cyc",
-                     "chain gain"});
-        for (size_t p = 0; p < names.size(); ++p) {
-            const SimResult &a = js[chainIdx[p][0]];
-            const SimResult &b = js[chainIdx[p][1]];
-            t.addRow({names[p], TextTable::fmt(a.cycles),
-                      TextTable::fmt(b.cycles),
-                      TextTable::fmt(speedup(a, b), 2)});
-        }
-        out.sections.push_back(
-            {"-- load->FU chaining --", std::move(t)});
-    }
-    {
-        TextTable t({"Program", "q4", "q8", "q16", "q32", "q64",
-                     "q128"});
-        for (size_t p = 0; p < queueProgs.size(); ++p) {
-            const SimResult &ref = js[queueIdx[p].ref];
-            std::vector<std::string> row{queueProgs[p]};
-            for (size_t i = 0; i < 6; ++i)
-                row.push_back(TextTable::fmt(
-                    speedup(ref, js[queueIdx[p].ooo[i]]), 2));
-            t.addRow(row);
-        }
-        out.sections.push_back(
-            {"-- queue depth (speedup over REF) --", std::move(t)});
-    }
-    {
-        TextTable t({"Program", "compiler-sched cyc",
-                     "port-oblivious cyc", "slowdown"});
-        for (size_t p = 0; p < portProgs.size(); ++p) {
-            const SimResult &a = js[portIdx[p][0]];
-            const SimResult &b = js[portIdx[p][1]];
-            t.addRow({portProgs[p], TextTable::fmt(a.cycles),
-                      TextTable::fmt(b.cycles),
-                      TextTable::fmt(speedup(a, b) > 0
-                                         ? 1.0 / speedup(a, b)
-                                         : 0.0,
-                                     2)});
-        }
-        out.sections.push_back(
-            {"-- REF register-file port conflicts --", std::move(t)});
-    }
-    {
-        TextTable t({"Program", "w1", "w2", "w4", "w8"});
-        for (size_t p = 0; p < widthProgs.size(); ++p) {
-            std::vector<std::string> row{widthProgs[p]};
-            for (size_t i = 0; i < 4; ++i)
-                row.push_back(
-                    TextTable::fmt(js[widthIdx[p][i]].cycles));
-            t.addRow(row);
-        }
-        out.sections.push_back(
-            {"-- commit width (cycles) --", std::move(t)});
-    }
-    return out;
+    return columnFigure(
+        engine,
+        {{"-- load->FU chaining --",
+          {count("no-chain cyc", base), count("chain cyc", chain),
+           {"chain gain", base, chain}}},
+         {"-- queue depth (speedup over REF) --",
+          queue,
+          {"swm256", "trfd", "dyfesm", "bdna"}},
+         {"-- REF register-file port conflicts --",
+          {count("compiler-sched cyc", ref),
+           count("port-oblivious cyc", ports),
+           {"slowdown", ref, ports, slowdown}},
+          {"swm256", "arc2d", "su2cor"}},
+         {"-- commit width (cycles) --", width, {"tomcatv", "dyfesm"}}},
+        "");
 }
 
 // ---------------------------------------------------------- membank
@@ -798,55 +654,24 @@ ablAblations(const SweepEngine &engine)
 FigureResult
 figMemBanks(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned bankCounts[] = {1, 2, 4, 8, 16};
-
-    struct Row
-    {
-        size_t ref;
-        size_t refB8;
-        size_t flat;
-        std::array<size_t, 5> banked;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].ref = js.addRef(names[p], makeRefConfig(50));
-        idx[p].refB8 = js.addRef(names[p], makeBankedRefConfig(8, 50));
-        idx[p].flat = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-        for (size_t i = 0; i < 5; ++i)
-            idx[p].banked[i] = js.addOoo(
-                names[p], makeBankedOooConfig(bankCounts[i], 50));
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "flat", "b1", "b2", "b4", "b8", "b16",
-                     "vsREFb8", "confl@b8", "confCyc@b8"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p].ref];
-        std::vector<std::string> row{names[p]};
-        row.push_back(TextTable::fmt(speedup(ref, js[idx[p].flat]), 2));
-        for (size_t i = 0; i < 5; ++i)
-            row.push_back(
-                TextTable::fmt(speedup(ref, js[idx[p].banked[i]]), 2));
-        const SimResult &b8 = js[idx[p].banked[3]];
-        // Both machines on the same 8-bank memory: does the OOOVA's
-        // advantage survive when REF also pays bank conflicts?
-        row.push_back(
-            TextTable::fmt(speedup(js[idx[p].refB8], b8), 2));
-        row.push_back(TextTable::fmt(b8.memBankConflicts));
-        row.push_back(TextTable::fmt(b8.memConflictCycles));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(speedup over REF/flat at latency 50, except "
-                   "vsREFb8 = OOOVA/b8 over REF/b8; unit-stride "
-                   "programs climb monotonically with banks and "
-                   "approach the flat bus, strided programs keep "
-                   "residual bank conflicts)";
-    return out;
+    const Machine ref = makeRefConfig(50);
+    const Machine b8 = makeBankedOooConfig(8, 50);
+    std::vector<Column> cols{{"flat", ref, makeOooConfig(16, 16, 50)}};
+    for (unsigned banks : {1u, 2u, 4u, 8u, 16u})
+        cols.push_back({csprintf("b%u", banks), ref,
+                        makeBankedOooConfig(banks, 50)});
+    // Both machines on the same 8-bank memory: does the OOOVA's
+    // advantage survive when REF also pays bank conflicts?
+    cols.push_back({"vsREFb8", makeBankedRefConfig(8, 50), b8});
+    cols.push_back(count("confl@b8", b8, &SimResult::memBankConflicts));
+    cols.push_back(
+        count("confCyc@b8", b8, &SimResult::memConflictCycles));
+    return columnFigure(engine, {{"", cols}},
+                        "(speedup over REF/flat at latency 50, except "
+                        "vsREFb8 = OOOVA/b8 over REF/b8; unit-stride "
+                        "programs climb monotonically with banks and "
+                        "approach the flat bus, strided programs keep "
+                        "residual bank conflicts)");
 }
 
 // -------------------------------------------------------- memstride
@@ -889,15 +714,16 @@ figMemStride(const SweepEngine &engine)
     // The flat bus ignores addresses entirely, so its cycle count is
     // stride-invariant: simulate it once on the stride-1 trace.
     auto t1trace = makeStrideTrace(1);
-    size_t flatIdx = js.addOooTrace(t1trace, makeOooConfig(16, 16, 50));
+    size_t flatIdx =
+        js.add(oooTraceJob(t1trace, makeOooConfig(16, 16, 50)));
     std::array<size_t, 7> bankedIdx;
     std::array<size_t, 7> dualIdx;
     for (size_t i = 0; i < 7; ++i) {
         auto t = strides[i] == 1 ? t1trace : makeStrideTrace(strides[i]);
-        bankedIdx[i] = js.addOooTrace(t, makeBankedOooConfig(8, 50));
+        bankedIdx[i] = js.add(oooTraceJob(t, makeBankedOooConfig(8, 50)));
         // The same 8-bank memory behind two load/store units: the
         // kernel's two load streams overlap their address phases.
-        dualIdx[i] = js.addOooTrace(t, makeMultiUnitOooConfig(8, 2));
+        dualIdx[i] = js.add(oooTraceJob(t, makeMultiUnitOooConfig(8, 2)));
     }
     js.run(engine);
 
@@ -913,9 +739,7 @@ figMemStride(const SweepEngine &engine)
         table.addRow(
             {std::to_string(s), TextTable::fmt(flat.cycles),
              TextTable::fmt(banked.cycles),
-             TextTable::fmt(static_cast<double>(banked.cycles) /
-                                static_cast<double>(flat.cycles),
-                            2),
+             TextTable::fmt(speedup(banked, flat), 2),
              TextTable::fmt(banked.memBankConflicts),
              TextTable::fmt(banked.memConflictCycles),
              TextTable::fmt(uint64_t(distinct)),
@@ -995,15 +819,14 @@ figMemUnits(const SweepEngine &engine)
             Row r;
             r.program = name;
             r.banks = banks;
-            r.x1 = js.addOooTrace(trace,
-                                  makeMultiUnitOooConfig(banks, 1));
-            r.x2 = js.addOooTrace(trace,
-                                  makeMultiUnitOooConfig(banks, 2));
-            r.x2s = js.addOooTrace(
-                trace,
-                makeMultiUnitOooConfig(banks, 2, LsPolicy::Split));
-            r.x4 = js.addOooTrace(trace,
-                                  makeMultiUnitOooConfig(banks, 4));
+            auto add = [&](unsigned units, LsPolicy policy) {
+                return js.add(oooTraceJob(
+                    trace, makeMultiUnitOooConfig(banks, units, policy)));
+            };
+            r.x1 = add(1, LsPolicy::Shared);
+            r.x2 = add(2, LsPolicy::Shared);
+            r.x2s = add(2, LsPolicy::Split);
+            r.x4 = add(4, LsPolicy::Shared);
             rows.push_back(r);
         }
     };
@@ -1082,11 +905,11 @@ figMemGather(const SweepEngine &engine)
     std::vector<Row> idx(patterns.size());
     for (size_t i = 0; i < patterns.size(); ++i) {
         auto t = makeGatherTrace(patterns[i]);
-        idx[i].refFlat = js.addRefTrace(t, makeRefConfig(50));
-        idx[i].refB8 = js.addRefTrace(t, makeBankedRefConfig(8, 50));
-        idx[i].oooB8 = js.addOooTrace(t, makeBankedOooConfig(8, 50));
-        idx[i].refTlb = js.addRefTrace(
-            t, makeTlbBankedRefConfig(8, 16, 4096, 50));
+        idx[i].refFlat = js.add(refTraceJob(t, makeRefConfig(50)));
+        idx[i].refB8 = js.add(refTraceJob(t, makeBankedRefConfig(8, 50)));
+        idx[i].oooB8 = js.add(oooTraceJob(t, makeBankedOooConfig(8, 50)));
+        idx[i].refTlb = js.add(
+            refTraceJob(t, makeTlbBankedRefConfig(8, 16, 4096, 50)));
     }
     js.run(engine);
 
@@ -1098,9 +921,7 @@ figMemGather(const SweepEngine &engine)
         table.addRow(
             {patterns[i].name, TextTable::fmt(flat.cycles),
              TextTable::fmt(b8.cycles),
-             TextTable::fmt(static_cast<double>(b8.cycles) /
-                                static_cast<double>(flat.cycles),
-                            2),
+             TextTable::fmt(speedup(b8, flat), 2),
              TextTable::fmt(b8.memIndexedConflicts),
              TextTable::fmt(b8.memIndexedConflictCycles),
              TextTable::fmt(js[idx[i].oooB8].cycles)});
@@ -1123,9 +944,7 @@ figMemGather(const SweepEngine &engine)
         tlbTable.addRow(
             {patterns[i].name, TextTable::fmt(b8.cycles),
              TextTable::fmt(tlb.cycles),
-             TextTable::fmt(static_cast<double>(tlb.cycles) /
-                                static_cast<double>(b8.cycles),
-                            2),
+             TextTable::fmt(speedup(tlb, b8), 2),
              TextTable::fmt(tlb.tlbMisses),
              TextTable::fmt(tlb.tlbIndexedMisses),
              TextTable::fmt(tlb.tlbMissCycles)});
@@ -1157,94 +976,33 @@ figMemGather(const SweepEngine &engine)
 FigureResult
 figMemTlb(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    struct TlbPoint
-    {
-        const char *label;
-        unsigned entries;
-        unsigned pageBytes;
-    };
-    const std::vector<TlbPoint> points = {
-        {"t8e4k", 8, 4096},
-        {"t32e4k", 32, 4096},
-        {"t256e4k", 256, 4096},
-        {"t32e64k", 32, 64 * 1024},
-    };
-
-    struct Row
-    {
-        size_t base;
-        std::vector<size_t> tlb;
-        size_t hw, sw;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].base = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-        for (const TlbPoint &pt : points)
-            idx[p].tlb.push_back(js.addOoo(
-                names[p],
-                makeTlbOooConfig(pt.entries, pt.pageBytes)));
-        idx[p].hw = js.addOoo(
-            names[p],
-            makeTlbOooConfig(8, 4096, 50, CommitMode::Late));
-        idx[p].sw = js.addOoo(
-            names[p], makeTlbOooConfig(8, 4096, 50, CommitMode::Late,
-                                       TlbRefill::SoftwareTrap));
-    }
-    js.run(engine);
-
-    FigureResult out;
-    {
-        TextTable t({"Program", "no-TLB cyc", "t8e4k", "t32e4k",
-                     "t256e4k", "t32e64k", "miss@t8", "idxMiss@t8",
-                     "missCyc@t8"});
-        for (size_t p = 0; p < names.size(); ++p) {
-            const SimResult &base = js[idx[p].base];
-            std::vector<std::string> row{names[p],
-                                         TextTable::fmt(base.cycles)};
-            for (size_t i = 0; i < points.size(); ++i)
-                row.push_back(TextTable::fmt(
-                    static_cast<double>(js[idx[p].tlb[i]].cycles) /
-                        static_cast<double>(base.cycles),
-                    2));
-            const SimResult &t8 = js[idx[p].tlb[0]];
-            row.push_back(TextTable::fmt(t8.tlbMisses));
-            row.push_back(TextTable::fmt(t8.tlbIndexedMisses));
-            row.push_back(TextTable::fmt(t8.tlbMissCycles));
-            t.addRow(row);
-        }
-        out.sections.push_back(
-            {"-- TLB reach (slowdown over no TLB, latency 50) --",
-             std::move(t)});
-    }
-    {
-        TextTable t({"Program", "hw cyc", "sw cyc", "sw/hw",
-                     "traps@sw", "miss@hw"});
-        for (size_t p = 0; p < names.size(); ++p) {
-            const SimResult &hw = js[idx[p].hw];
-            const SimResult &sw = js[idx[p].sw];
-            t.addRow({names[p], TextTable::fmt(hw.cycles),
-                      TextTable::fmt(sw.cycles),
-                      TextTable::fmt(static_cast<double>(sw.cycles) /
-                                         static_cast<double>(
-                                             hw.cycles),
-                                     2),
-                      TextTable::fmt(sw.traps),
-                      TextTable::fmt(hw.tlbMisses)});
-        }
-        out.sections.push_back(
-            {"-- refill policy at t8e4k (late commit) --",
-             std::move(t)});
-    }
-    out.footnote = "(strided streams translate once per page "
-                   "crossed, so unit-stride programs stay warm even "
-                   "at 8 entries; nasa7's random gather translates "
-                   "per element and thrashes small TLBs; software "
-                   "refill pays a full squash-and-replay trap per "
-                   "missing stream)";
-    return out;
+    const Machine base = makeOooConfig(16, 16, 50);
+    const Machine t8 = makeTlbOooConfig(8, 4096);
+    const Machine hw = makeTlbOooConfig(8, 4096, 50, CommitMode::Late);
+    const Machine sw = makeTlbOooConfig(8, 4096, 50, CommitMode::Late,
+                                        TlbRefill::SoftwareTrap);
+    return columnFigure(
+        engine,
+        {{"-- TLB reach (slowdown over no TLB, latency 50) --",
+          {count("no-TLB cyc", base),
+           {"t8e4k", base, t8, slowdown},
+           {"t32e4k", base, makeTlbOooConfig(32, 4096), slowdown},
+           {"t256e4k", base, makeTlbOooConfig(256, 4096), slowdown},
+           {"t32e64k", base, makeTlbOooConfig(32, 64 * 1024), slowdown},
+           count("miss@t8", t8, &SimResult::tlbMisses),
+           count("idxMiss@t8", t8, &SimResult::tlbIndexedMisses),
+           count("missCyc@t8", t8, &SimResult::tlbMissCycles)}},
+         {"-- refill policy at t8e4k (late commit) --",
+          {count("hw cyc", hw), count("sw cyc", sw),
+           {"sw/hw", hw, sw, slowdown},
+           count("traps@sw", sw, &SimResult::traps),
+           count("miss@hw", hw, &SimResult::tlbMisses)}}},
+        "(strided streams translate once per page "
+        "crossed, so unit-stride programs stay warm even "
+        "at 8 entries; nasa7's random gather translates "
+        "per element and thrashes small TLBs; software "
+        "refill pays a full squash-and-replay trap per "
+        "missing stream)");
 }
 
 // ----------------------------------------------------------- memlat
@@ -1255,53 +1013,22 @@ figMemTlb(const SweepEngine &engine)
 FigureResult
 figMemLatBanks(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
     const unsigned lats[] = {1, 50, 100};
-
-    struct Row
-    {
-        std::array<size_t, 3> flat;
-        std::array<size_t, 3> b4;
-        std::array<size_t, 3> b16;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i) {
-            idx[p].flat[i] =
-                js.addOoo(names[p], makeOooConfig(16, 16, lats[i]));
-            idx[p].b4[i] = js.addOoo(
-                names[p], makeBankedOooConfig(4, lats[i]));
-            idx[p].b16[i] = js.addOoo(
-                names[p], makeBankedOooConfig(16, lats[i]));
-        }
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "flat@1", "flat@50", "flat@100",
-                     "b4@1", "b4@50", "b4@100", "b16@1", "b16@50",
-                     "b16@100", "b16 100/1"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].flat[i]].cycles));
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].b4[i]].cycles));
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].b16[i]].cycles));
-        row.push_back(TextTable::fmt(
-            static_cast<double>(js[idx[p].b16[2]].cycles) /
-                static_cast<double>(js[idx[p].b16[0]].cycles),
-            2));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(the OOOVA's latency tolerance survives a banked "
-                   "hierarchy: the 100/1 ratio stays near the flat "
-                   "bus's figure-8 value even with 16 banks)";
-    return out;
+    std::vector<Column> cols;
+    for (unsigned lat : lats)
+        cols.push_back(count(csprintf("flat@%u", lat),
+                             makeOooConfig(16, 16, lat)));
+    for (unsigned banks : {4u, 16u})
+        for (unsigned lat : lats)
+            cols.push_back(count(csprintf("b%u@%u", banks, lat),
+                                 makeBankedOooConfig(banks, lat)));
+    cols.push_back({"b16 100/1", makeBankedOooConfig(16, 1),
+                    makeBankedOooConfig(16, 100), slowdown});
+    return columnFigure(engine, {{"", cols}},
+                        "(the OOOVA's latency tolerance survives a "
+                        "banked hierarchy: the 100/1 ratio stays near "
+                        "the flat bus's figure-8 value even with 16 "
+                        "banks)");
 }
 
 // --------------------------------------------------------- cpistack
@@ -1315,52 +1042,24 @@ figMemLatBanks(const SweepEngine &engine)
 FigureResult
 figCpiStack(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    RefConfig refCfg = makeRefConfig(50);
-    refCfg.cpiStack = true;
+    RefConfig ref = makeRefConfig(50);
+    ref.cpiStack = true;
     OooConfig ooo16 = makeOooConfig(16, 16, 50);
     ooo16.cpiStack = true;
     OooConfig ooo9 = makeOooConfig(9, 16, 50);
     ooo9.cpiStack = true;
-
-    JobSet js;
-    std::vector<std::array<size_t, 3>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], refCfg);
-        idx[p][1] = js.addOoo(names[p], ooo16);
-        idx[p][2] = js.addOoo(names[p], ooo9);
-    }
-    js.run(engine);
-
-    FigureResult out;
-    for (size_t p = 0; p < names.size(); ++p) {
-        TextTable table(
-            {"Bucket", "REF %", "OOOVA-16r %", "OOOVA-9r %"});
-        for (unsigned b = 0; b < kNumCpiBuckets; ++b) {
-            std::vector<std::string> row = {
-                cpiBucketName(static_cast<CpiBucket>(b))};
-            for (size_t m = 0; m < 3; ++m) {
-                const SimResult &r = js[idx[p][m]];
-                row.push_back(TextTable::fmt(
-                    100.0 *
-                        static_cast<double>(r.cpiCycles[b]) /
-                        static_cast<double>(r.cycles),
-                    1));
-            }
-            table.addRow(row);
-        }
-        table.addRow({"total cycles",
-                      TextTable::fmt(js[idx[p][0]].cycles),
-                      TextTable::fmt(js[idx[p][1]].cycles),
-                      TextTable::fmt(js[idx[p][2]].cycles)});
-        out.sections.push_back(
-            {"--- " + names[p] + " ---", std::move(table)});
-    }
-    out.footnote = "(columns sum to 100% of each machine's cycles; "
-                   "the cpi-conservation checker enforces the sum "
-                   "exactly)";
-    return out;
+    std::vector<std::string> buckets;
+    buckets.reserve(kNumCpiBuckets);
+    for (unsigned b = 0; b < kNumCpiBuckets; ++b)
+        buckets.push_back(cpiBucketName(static_cast<CpiBucket>(b)));
+    return breakdownFigure(
+        engine, "Bucket",
+        {{"REF %", ref}, {"OOOVA-16r %", ooo16}, {"OOOVA-9r %", ooo9}},
+        buckets,
+        [](const SimResult &r, size_t b) { return r.cpiCycles[b]; },
+        "(columns sum to 100% of each machine's cycles; "
+        "the cpi-conservation checker enforces the sum "
+        "exactly)");
 }
 
 // -------------------------------------------------------- occupancy
@@ -1392,14 +1091,13 @@ figOccupancy(const SweepEngine &engine)
     ooo64.telemetry = true;
     cachedTlbMem(ooo64.mem);
 
-    JobSet js;
+    const Machine machines[] = {refCfg, ooo16, ooo64};
+    Batch batch;
     std::vector<std::array<size_t, 3>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], refCfg);
-        idx[p][1] = js.addOoo(names[p], ooo16);
-        idx[p][2] = js.addOoo(names[p], ooo64);
-    }
-    js.run(engine);
+    for (size_t p = 0; p < names.size(); ++p)
+        for (size_t m = 0; m < 3; ++m)
+            idx[p][m] = batch.add(names[p], machines[m]);
+    batch.run(engine);
 
     FigureResult out;
     for (size_t p = 0; p < names.size(); ++p) {
@@ -1411,7 +1109,7 @@ figOccupancy(const SweepEngine &engine)
                 occStructName(static_cast<OccStruct>(s))};
             for (size_t m = 0; m < 3; ++m) {
                 const StatDistribution &d =
-                    js[idx[p][m]].occupancy[s];
+                    batch[idx[p][m]].occupancy[s];
                 if (d.samples == 0) {
                     row.push_back("-");
                     row.push_back("-");

@@ -249,36 +249,11 @@ class JobSet
         return jobs_.size() - 1;
     }
 
-    size_t addRef(std::string trace, RefConfig cfg)
-    {
-        return add(refJob(std::move(trace), cfg));
-    }
-    size_t addOoo(std::string trace, OooConfig cfg)
-    {
-        return add(oooJob(std::move(trace), cfg));
-    }
-    size_t addOooTrace(std::shared_ptr<const Trace> trace,
-                       OooConfig cfg)
-    {
-        return add(oooTraceJob(std::move(trace), cfg));
-    }
-    size_t addRefTrace(std::shared_ptr<const Trace> trace,
-                       RefConfig cfg)
-    {
-        return add(refTraceJob(std::move(trace), cfg));
-    }
-    size_t addIdeal(std::string trace)
-    {
-        return add(idealJob(std::move(trace)));
-    }
-
     /** Execute everything added so far. */
     void run(const SweepEngine &engine);
 
     /** Result of the job that add() numbered @p index. */
     const SimResult &operator[](size_t index) const;
-
-    size_t size() const { return jobs_.size(); }
 
   private:
     std::vector<SweepJob> jobs_;

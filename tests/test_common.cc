@@ -261,13 +261,6 @@ TEST(TextTable, AlignedRendering)
     EXPECT_NE(s.find("----"), std::string::npos);
 }
 
-TEST(TextTable, CsvRendering)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.csv(), "a,b\n1,2\n");
-}
-
 TEST(TextTable, FmtHelpers)
 {
     EXPECT_EQ(TextTable::fmt(1.23456, 2), "1.23");

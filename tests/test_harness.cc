@@ -329,9 +329,9 @@ TEST(JobSet, IndicesReadBackAfterRun)
     TraceCache traces(kTestScale);
     SweepEngine engine(traces, 2);
     JobSet js;
-    size_t a = js.addRef("hydro2d", makeRefConfig(50));
-    size_t b = js.addOoo("trfd", makeOooConfig(16, 16, 50));
-    size_t c = js.addIdeal("swm256");
+    size_t a = js.add(refJob("hydro2d", makeRefConfig(50)));
+    size_t b = js.add(oooJob("trfd", makeOooConfig(16, 16, 50)));
+    size_t c = js.add(idealJob("swm256"));
     js.run(engine);
     EXPECT_EQ(js[a].program, "hydro2d");
     EXPECT_EQ(js[a].machine, "REF");
@@ -630,6 +630,22 @@ TEST(FigureRegistry, FigureOutputIdenticalAcrossThreadCounts)
         renderFigureText(*fig, fig->fn(parallel), traces.scale());
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("== Figure 6"), std::string::npos);
+}
+
+TEST(FigureRegistry, NoFigureSubmitsAJobTwice)
+{
+    // Cells that name one machine share one job, so on a fresh
+    // engine every job a figure lists is simulated, none served from
+    // the memo.
+    TraceCache traces(kTestScale);
+    for (const FigureDef &fig : figureRegistry()) {
+        SweepEngine engine(traces, 2);
+        engine.enableManifest();
+        fig.fn(engine);
+        for (const JobRecord &job : engine.manifest())
+            EXPECT_FALSE(job.cached) << fig.name << ": " << job.program
+                                     << " on " << job.machine;
+    }
 }
 
 TEST(FigureJson, ManifestEnvelopeIsSchemaV5)

@@ -648,6 +648,31 @@ TEST(MemSystemSim, TwoUnitsSpeedUpDualStreamPrograms)
     EXPECT_EQ(two.machine, "OOOVA-16/16r/early/mb8p1x2");
 }
 
+TEST(MemSystemSim, EarlyCommittedStoreStillWakesItsConflicts)
+{
+    // The memstride figure's stride-8 kernel at scale 0.02 on two
+    // memory units. Under early commit a store retires before its
+    // address phase ends; a younger access that conflicts with it
+    // waits for that end, whose only event is the store's own
+    // memory-done event. Dropping that event once the store left
+    // the ROB emptied the calendar: a false deadlock panic.
+    Program p("stride8");
+    const uint64_t bytes = 2 * 64 * 8 * 8 + 4096;
+    int a = p.array(bytes), b = p.array(bytes), c = p.array(bytes);
+    Kernel *k = p.newKernel("stream");
+    VVid x = k->vload(a, 8);
+    VVid y = k->vload(b, 8);
+    k->vstore(c, k->vmul(k->vadd(x, y), x), 8);
+    p.addLoop(k, 48, vlConstant(64));
+    p.setOuterReps(2);
+    GenOptions opts;
+    opts.scale = 0.02;
+    Trace t = p.generate(opts);
+    ASSERT_EQ(t.size(), 36u);
+    SimResult r = simulateOoo(t, makeMultiUnitOooConfig(8, 2));
+    EXPECT_EQ(r.instructions, t.size());
+}
+
 TEST(MemConfig, RefMachineLabelReflectsModel)
 {
     Trace t("one-load");
