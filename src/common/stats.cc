@@ -10,181 +10,133 @@
 namespace oova
 {
 
-uint64_t
-IntervalRecorder::busyCycles() const
-{
-    if (intervals_.empty())
-        return 0;
-    if (sortedDisjoint_) {
-        // Non-overlapping intervals: merging is a plain sum.
-        uint64_t busy = 0;
-        for (const auto &[s, e] : intervals_)
-            busy += e - s;
-        return busy;
-    }
-    auto sorted = intervals_;
-    std::sort(sorted.begin(), sorted.end());
-    uint64_t busy = 0;
-    Cycle cur_start = sorted[0].first;
-    Cycle cur_end = sorted[0].second;
-    for (size_t i = 1; i < sorted.size(); ++i) {
-        if (sorted[i].first > cur_end) {
-            busy += cur_end - cur_start;
-            cur_start = sorted[i].first;
-            cur_end = sorted[i].second;
-        } else {
-            cur_end = std::max(cur_end, sorted[i].second);
-        }
-    }
-    busy += cur_end - cur_start;
-    return busy;
-}
-
 void
 IntervalRecorder::clear()
 {
     intervals_.clear();
     lastEnd_ = 0;
+    frontier_ = 0;
     sortedDisjoint_ = true;
 }
 
-namespace
+void
+IntervalRecorder::retireBefore(Cycle t)
 {
-
-/**
- * Sort-free sweep for the common case: each unit's intervals are
- * already in order and non-overlapping (a serially-reused unit), so
- * the three lists merge with cursors instead of building and sorting
- * one big event vector. Produces exactly the sweep-line's output.
- */
-std::array<uint64_t, UnitStateBreakdown::kNumStates>
-computeSortedDisjoint(const IntervalRecorder &fu2,
-                      const IntervalRecorder &fu1,
-                      const IntervalRecorder &mem,
-                      Cycle total_cycles)
-{
-    // Index by state bit: 2 = FU2, 1 = FU1, 0 = MEM.
-    const std::vector<std::pair<Cycle, Cycle>> *ivs[3] = {
-        &mem.intervals(), &fu1.intervals(), &fu2.intervals()};
-    size_t idx[3] = {0, 0, 0};
-    bool busy[3] = {false, false, false};
-
-    auto clampEnd = [&](const std::pair<Cycle, Cycle> &iv) {
-        return std::min<Cycle>(iv.second, total_cycles);
-    };
-    // Skip intervals the clamp makes empty (entirely past the end).
-    auto skipDead = [&](int u) {
-        const auto &v = *ivs[u];
-        while (idx[u] < v.size() &&
-               v[idx[u]].first >= clampEnd(v[idx[u]])) {
-            ++idx[u];
-        }
-    };
-    for (int u = 0; u < 3; ++u)
-        skipDead(u);
-
-    std::array<uint64_t, UnitStateBreakdown::kNumStates> out{};
-    Cycle prev = 0;
-    while (true) {
-        Cycle next = kNoCycle;
-        for (int u = 0; u < 3; ++u) {
-            const auto &v = *ivs[u];
-            if (idx[u] >= v.size())
-                continue;
-            Cycle b =
-                busy[u] ? clampEnd(v[idx[u]]) : v[idx[u]].first;
-            next = std::min(next, b);
-        }
-        if (next == kNoCycle)
-            break;
-        if (next > prev) {
-            int state = (busy[2] ? 4 : 0) | (busy[1] ? 2 : 0) |
-                        (busy[0] ? 1 : 0);
-            out[static_cast<size_t>(state)] += next - prev;
-            prev = next;
-        }
-        for (int u = 0; u < 3; ++u) {
-            const auto &v = *ivs[u];
-            if (busy[u] && idx[u] < v.size() &&
-                clampEnd(v[idx[u]]) == next) {
-                busy[u] = false;
-                ++idx[u];
-                skipDead(u);
-            }
-            // Back-to-back intervals re-enter at the same boundary.
-            if (!busy[u] && idx[u] < v.size() &&
-                v[idx[u]].first == next) {
-                busy[u] = true;
-            }
-        }
+    size_t kept = 0;
+    Cycle maxEnd = 0;
+    sortedDisjoint_ = true;
+    for (auto [s, e] : intervals_) {
+        if (e <= t)
+            continue;
+        s = std::max(s, t);
+        if (s < maxEnd)
+            sortedDisjoint_ = false;
+        maxEnd = std::max(maxEnd, e);
+        intervals_[kept++] = {s, e};
     }
-    if (total_cycles > prev)
-        out[0] += total_cycles - prev; // trailing all-idle time
-    return out;
+    intervals_.resize(kept);
+    frontier_ = t;
 }
 
-} // namespace
-
-std::array<uint64_t, UnitStateBreakdown::kNumStates>
-UnitStateBreakdown::compute(const IntervalRecorder &fu2,
-                            const IntervalRecorder &fu1,
-                            const IntervalRecorder &mem,
-                            Cycle total_cycles)
+void
+UnitStateBreakdown::sampleMemDepth(unsigned mem_units)
 {
-    if (fu2.sortedDisjoint() && fu1.sortedDisjoint() &&
-        mem.sortedDisjoint()) {
-        return computeSortedDisjoint(fu2, fu1, mem, total_cycles);
-    }
+    sim_assert(frontier_ == 0, "depth sampling enabled mid-run");
+    sampleDepth_ = true;
+    depth_.setCapacity(std::max(mem_units, 1u));
+}
 
-    // Sweep-line over (cycle, unit, delta) events. A unit counts as
-    // busy while its overlap depth is positive.
-    struct Event
-    {
-        Cycle cycle;
-        int unit;  // 2 = FU2, 1 = FU1, 0 = MEM (bit position)
-        int delta; // +1 begin, -1 end
-    };
-
-    std::vector<Event> events;
-    auto addUnit = [&](const IntervalRecorder &rec, int unit) {
+/**
+ * The busy segments of @p rec inside [frontier_, to), in order. A
+ * sorted-disjoint recorder's intervals are its segments (depth 1);
+ * overlapping ones (several memory units) sort the window's begin/end
+ * events and sweep their depth.
+ */
+void
+UnitStateBreakdown::windowSegments(const IntervalRecorder &rec,
+                                   Cycle to, std::vector<Segment> &out)
+{
+    out.clear();
+    if (rec.sortedDisjoint()) {
         for (const auto &[s, e] : rec.intervals()) {
-            Cycle end = std::min<Cycle>(e, total_cycles);
-            if (s >= end)
-                continue;
-            events.push_back({s, unit, +1});
-            events.push_back({end, unit, -1});
+            if (s >= to)
+                break;
+            out.push_back({s, std::min(e, to), 1});
         }
-    };
-    addUnit(fu2, 2);
-    addUnit(fu1, 1);
-    addUnit(mem, 0);
-
-    std::sort(events.begin(), events.end(),
-              [](const Event &a, const Event &b) {
-                  return a.cycle < b.cycle;
-              });
-
-    std::array<uint64_t, kNumStates> out{};
-    int depth[3] = {0, 0, 0};
-    Cycle prev = 0;
-    size_t i = 0;
-    while (i < events.size()) {
-        Cycle now = events[i].cycle;
-        if (now > prev) {
-            int state = (depth[2] > 0 ? 4 : 0) | (depth[1] > 0 ? 2 : 0) |
-                        (depth[0] > 0 ? 1 : 0);
-            out[state] += now - prev;
-            prev = now;
-        }
-        while (i < events.size() && events[i].cycle == now) {
-            depth[events[i].unit] += events[i].delta;
-            ++i;
+        return;
+    }
+    events_.clear();
+    for (const auto &[s, e] : rec.intervals()) {
+        if (s >= to)
+            continue;
+        events_.emplace_back(s, +1);
+        events_.emplace_back(std::min(e, to), -1);
+    }
+    std::sort(events_.begin(), events_.end());
+    int64_t depth = 0;
+    for (size_t i = 0; i < events_.size();) {
+        Cycle now = events_[i].first;
+        for (; i < events_.size() && events_[i].first == now; ++i)
+            depth += events_[i].second;
+        // An open segment always has its end event still ahead.
+        if (depth > 0) {
+            out.push_back({now, events_[i].first,
+                           static_cast<uint64_t>(depth)});
         }
     }
-    if (total_cycles > prev)
-        out[0] += total_cycles - prev; // trailing all-idle time
+}
 
-    return out;
+void
+UnitStateBreakdown::fold(IntervalRecorder &fu2, IntervalRecorder &fu1,
+                         IntervalRecorder &mem, Cycle to)
+{
+    sim_assert(to >= frontier_, "fold to %llu behind frontier %llu",
+               (unsigned long long)to, (unsigned long long)frontier_);
+    // Indexed by state bit.
+    IntervalRecorder *recs[3] = {&mem, &fu1, &fu2};
+    for (int u = 0; u < 3; ++u)
+        windowSegments(*recs[u], to, segments_[u]);
+
+    // Merge the three segment lists with cursors: between two
+    // consecutive boundaries every unit's busy bit is constant.
+    size_t idx[3] = {0, 0, 0};
+    for (Cycle t = frontier_; t < to;) {
+        unsigned state = 0;
+        uint64_t depth = 0;
+        Cycle next = to;
+        for (int u = 0; u < 3; ++u) {
+            if (idx[u] == segments_[u].size())
+                continue;
+            const Segment &seg = segments_[u][idx[u]];
+            if (seg.start <= t) {
+                state |= 1u << u;
+                next = std::min(next, seg.end);
+                if (u == Mem)
+                    depth = seg.depth;
+            } else {
+                next = std::min(next, seg.start);
+            }
+        }
+        uint64_t len = next - t;
+        states_[state] += len;
+        for (int u = 0; u < 3; ++u) {
+            if (state & (1u << u))
+                busy_[static_cast<size_t>(u)] += len;
+            if (idx[u] < segments_[u].size() &&
+                segments_[u][idx[u]].end == next) {
+                ++idx[u];
+            }
+        }
+        if (sampleDepth_) {
+            depth_.sample(depth, len);
+            depthTs_.sample(depth, len);
+        }
+        t = next;
+    }
+
+    for (IntervalRecorder *rec : recs)
+        rec->retireBefore(to);
+    frontier_ = to;
 }
 
 std::string
@@ -309,45 +261,6 @@ StatTimeSeries::epochMean(size_t e) const
 {
     uint64_t cycles = epochCycles(e);
     return cycles ? static_cast<double>(sums[e]) / cycles : 0.0;
-}
-
-void
-accumulateIntervalDepth(const IntervalRecorder &rec, Cycle total,
-                        StatDistribution &dist, StatTimeSeries &ts)
-{
-    if (total == 0)
-        return;
-    // Sweep-line over begin/end events, clipped to [0, total).
-    std::vector<std::pair<Cycle, int>> events;
-    events.reserve(rec.intervals().size() * 2);
-    for (const auto &[s, e] : rec.intervals()) {
-        Cycle end = std::min<Cycle>(e, total);
-        if (s >= end)
-            continue;
-        events.emplace_back(s, +1);
-        events.emplace_back(end, -1);
-    }
-    std::sort(events.begin(), events.end());
-
-    Cycle prev = 0;
-    int64_t depth = 0;
-    size_t i = 0;
-    while (i < events.size()) {
-        Cycle now = events[i].first;
-        if (now > prev) {
-            dist.sample(static_cast<uint64_t>(depth), now - prev);
-            ts.sample(static_cast<uint64_t>(depth), now - prev);
-            prev = now;
-        }
-        while (i < events.size() && events[i].first == now) {
-            depth += events[i].second;
-            ++i;
-        }
-    }
-    if (total > prev) {
-        dist.sample(static_cast<uint64_t>(depth), total - prev);
-        ts.sample(static_cast<uint64_t>(depth), total - prev);
-    }
 }
 
 bool

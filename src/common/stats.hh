@@ -2,7 +2,8 @@
  * @file
  * Statistics primitives used by the simulators and the experiment
  * harness: busy-interval recording, the 8-way functional-unit state
- * breakdown of the paper's figures 3 and 7, and a small histogram.
+ * breakdown of the paper's figures 3 and 7 folded from it as time
+ * passes, a small histogram and the occupancy-telemetry sinks.
  */
 
 #ifndef OOVA_COMMON_STATS_HH
@@ -23,8 +24,10 @@ namespace oova
 
 /**
  * Records half-open busy intervals [start, end) for one hardware
- * unit. Intervals may be added out of order and may overlap; queries
- * merge them first.
+ * unit until a UnitStateBreakdown folds them into its running
+ * totals. Intervals may be added out of order and may overlap, but
+ * none may start before the fold frontier: the time behind it has
+ * already been counted.
  */
 class IntervalRecorder
 {
@@ -40,70 +43,58 @@ class IntervalRecorder
         sim_assert(end >= start, "interval end before start");
         if (end == start)
             return; // zero-length: nothing was occupied
+#ifndef NDEBUG
+        sim_assert(start >= frontier_,
+                   "interval [%llu, %llu) starts before the fold "
+                   "frontier %llu",
+                   (unsigned long long)start, (unsigned long long)end,
+                   (unsigned long long)frontier_);
+#endif
         if (start < lastEnd_)
             sortedDisjoint_ = false;
         intervals_.emplace_back(start, end);
         lastEnd_ = std::max(lastEnd_, end);
     }
 
-    /** Total busy cycles with overlapping intervals merged. */
-    uint64_t busyCycles() const;
-
     /** Latest end cycle over all intervals (0 if none). */
     Cycle lastEnd() const { return lastEnd_; }
 
-    /** Raw (unmerged) intervals, in insertion order. */
+    /**
+     * Intervals not yet folded, in insertion order (a straddler of
+     * the last fold starts at the frontier).
+     */
     const std::vector<std::pair<Cycle, Cycle>> &
     intervals() const
     {
         return intervals_;
     }
 
-    /** Number of recorded intervals. */
+    /** Number of intervals not yet folded. */
     size_t count() const { return intervals_.size(); }
 
     /**
-     * True while the recorded intervals are non-overlapping and in
+     * True while the held intervals are non-overlapping and in
      * nondecreasing order — the natural product of a serially-reused
-     * unit — enabling the sort-free query fast paths.
+     * unit — so a fold merges them with a cursor instead of sorting.
      */
     bool sortedDisjoint() const { return sortedDisjoint_; }
 
     void clear();
 
   private:
-    std::vector<std::pair<Cycle, Cycle>> intervals_;
-    Cycle lastEnd_ = 0;
-    bool sortedDisjoint_ = true;
-};
-
-/**
- * Per-cycle machine-state breakdown over the three vector units,
- * reproducing the 3-tuple states (FU2, FU1, MEM) of the paper's
- * figures 3 and 7. State index bit assignment: bit 2 = FU2 busy,
- * bit 1 = FU1 busy, bit 0 = MEM busy; e.g. state 0 is
- * ( , , ) -- all idle -- and state 7 is (FU2, FU1, MEM).
- */
-class UnitStateBreakdown
-{
-  public:
-    static constexpr int kNumStates = 8;
+    friend class UnitStateBreakdown;
 
     /**
-     * Compute the number of cycles spent in each of the 8 states.
-     *
-     * @param fu2 busy intervals of the general-purpose unit
-     * @param fu1 busy intervals of the restricted unit
-     * @param mem busy intervals of the memory port
-     * @param total_cycles the denominator; cycles past the last
-     *        interval count as all-idle
+     * Forget the busy time before @p t, which a fold has counted:
+     * intervals ending at or before @p t go, a straddler is clipped
+     * to start at @p t, and @p t becomes the frontier.
      */
-    static std::array<uint64_t, kNumStates>
-    compute(const IntervalRecorder &fu2, const IntervalRecorder &fu1,
-            const IntervalRecorder &mem, Cycle total_cycles);
+    void retireBefore(Cycle t);
 
-    /** Human-readable state label, e.g. "<FU2,FU1,MEM>". */
-    static std::string stateName(int state);
+    std::vector<std::pair<Cycle, Cycle>> intervals_;
+    Cycle lastEnd_ = 0;
+    Cycle frontier_ = 0;
+    bool sortedDisjoint_ = true;
 };
 
 /** Linear-bucket histogram with running sum/min/max. */
@@ -264,18 +255,103 @@ struct StatTimeSeries
 };
 
 /**
- * Feed the concurrency depth of @p rec's intervals, cycle by cycle
- * over [0, total), into @p dist and @p ts: for every cycle the
- * sampled value is the number of intervals covering it (intervals
- * are clipped to the range). Charges exactly @p total weight into
- * each sink, which is what the occupancy-conservation checker
- * verifies. This is how per-unit memory busy is sampled on both
- * machines — REF has no cycle loop to hook, so both derive it from
- * the same busy()-interval sweep at end of run.
+ * Per-cycle machine-state breakdown over the three vector units,
+ * reproducing the 3-tuple states (FU2, FU1, MEM) of the paper's
+ * figures 3 and 7. State index bit assignment: bit 2 = FU2 busy,
+ * bit 1 = FU1 busy, bit 0 = MEM busy; e.g. state 0 is
+ * ( , , ) -- all idle -- and state 7 is (FU2, FU1, MEM).
+ *
+ * The totals grow as simulated time passes: fold(..., t) sweeps the
+ * three busy recorders from the frontier (the previous fold's t,
+ * initially 0) up to t into the state counts, each unit's busy
+ * cycles (overlaps merged) and, when enabled, the memory unit's
+ * concurrency depth. It then drops what it has counted from the
+ * recorders, so they keep only the intervals that can still change a
+ * result. A simulator folds whenever its
+ * recorders hold more than kFoldBacklog intervals, and once more to
+ * its end cycle. Cycles no interval covers count as all-idle; busy
+ * time at or after the last fold's cycle is never counted.
  */
-void accumulateIntervalDepth(const IntervalRecorder &rec, Cycle total,
-                             StatDistribution &dist,
-                             StatTimeSeries &ts);
+class UnitStateBreakdown
+{
+  public:
+    static constexpr int kNumStates = 8;
+    using States = std::array<uint64_t, kNumStates>;
+
+    /** Unit index == its state bit. */
+    enum Unit : uint8_t
+    {
+        Mem = 0,
+        Fu1 = 1,
+        Fu2 = 2,
+    };
+
+    /**
+     * Intervals the three recorders may hold between folds: the
+     * bound on a simulator's busy-interval memory.
+     */
+    static constexpr size_t kFoldBacklog = 4096;
+
+    /**
+     * Also sample the memory recorder's concurrency depth (how many
+     * of its intervals cover each cycle: the MemUnits occupancy
+     * structure), histogram sized for @p mem_units. Call before the
+     * first fold.
+     */
+    void sampleMemDepth(unsigned mem_units);
+
+    /**
+     * Account every cycle from the frontier up to @p to, then drop
+     * those cycles from the recorders and make @p to the frontier. Every later add() to them must start at or
+     * after @p to.
+     */
+    void fold(IntervalRecorder &fu2, IntervalRecorder &fu1,
+              IntervalRecorder &mem, Cycle to);
+
+    /** fold() when the recorders hold more than kFoldBacklog. */
+    void
+    foldIfBacklogged(IntervalRecorder &fu2, IntervalRecorder &fu1,
+                     IntervalRecorder &mem, Cycle to)
+    {
+        if (fu2.count() + fu1.count() + mem.count() > kFoldBacklog)
+            fold(fu2, fu1, mem, to);
+    }
+
+    /** Cycles spent in each of the 8 states before the frontier. */
+    const States &states() const { return states_; }
+
+    /** Busy cycles of @p u before the frontier, overlaps merged. */
+    uint64_t busyCycles(Unit u) const { return busy_[u]; }
+
+    /** The sampled memory depth (empty unless sampleMemDepth()). */
+    const StatDistribution &memDepth() const { return depth_; }
+    const StatTimeSeries &memDepthSeries() const { return depthTs_; }
+
+    /** Human-readable state label, e.g. "<FU2,FU1,MEM>". */
+    static std::string stateName(int state);
+
+  private:
+    /** [start, end) covered by @c depth >= 1 intervals. */
+    struct Segment
+    {
+        Cycle start;
+        Cycle end;
+        uint64_t depth;
+    };
+
+    void windowSegments(const IntervalRecorder &rec, Cycle to,
+                        std::vector<Segment> &out);
+
+    Cycle frontier_ = 0;
+    States states_{};
+    std::array<uint64_t, 3> busy_{};
+    bool sampleDepth_ = false;
+    StatDistribution depth_;
+    StatTimeSeries depthTs_;
+    /** Per-unit fold scratch, kept to reuse its storage. */
+    std::array<std::vector<Segment>, 3> segments_;
+    std::vector<std::pair<Cycle, int>> events_;
+};
 
 /**
  * True when OOVA_TELEMETRY=1 (or any nonzero value) is in the

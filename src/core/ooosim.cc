@@ -190,7 +190,7 @@ class OooMachine
             cap(OccStruct::VQueue, cfg.queueSize);
             cap(OccStruct::FreeVRegs, cfg.numPhysVRegs);
             cap(OccStruct::Mshrs, cfg.mem.mshrs);
-            cap(OccStruct::MemUnits, cfg.mem.memUnits);
+            unitStates_.sampleMemDepth(cfg.mem.memUnits);
             cap(OccStruct::TlbPages,
                 cfg.mem.tlb.enabled
                     ? cfg.mem.tlb.entries + cfg.mem.tlb.l2Entries
@@ -529,8 +529,8 @@ class OooMachine
      * OOVA_TELEMETRY=1): one distribution + time series per
      * OccStruct, sampled at every event-calendar advance with the
      * same bulk-charge discipline as the CPI stack. MemUnits is the
-     * exception: it is derived from the busy-interval sweep at end
-     * of run, identically on both machines.
+     * exception: unitStates_ samples it from the memory busy
+     * intervals as they fold, identically on both machines.
      */
     bool telemetry_ = cfg_.telemetry || telemetryForced();
     std::array<StatDistribution, kNumOccStructs> occ_{};
@@ -538,6 +538,8 @@ class OooMachine
 
     Cycle fu1Free_ = 0, fu2Free_ = 0;
     IntervalRecorder fu1Rec_, fu2Rec_;
+    /** Busy intervals folded into the figure 3/7 state breakdown. */
+    UnitStateBreakdown unitStates_;
 
     Cycle now_ = 0;
     Cycle endCycle_ = 0;
@@ -2289,6 +2291,10 @@ OooMachine::run()
                 // skipped cycle sees today's occupancies.
                 sampleOccupancy(next - now_);
             }
+            // Nothing issues before next: all busy time before now_
+            // is final.
+            unitStates_.foldIfBacklogged(fu2Rec_, fu1Rec_,
+                                         mem_->busy(), now_);
             now_ = next;
         }
     }
@@ -2301,15 +2307,16 @@ OooMachine::run()
         cpi_[static_cast<unsigned>(CpiBucket::Drain)] +=
             endCycle_ - now_;
     }
+    unitStates_.fold(fu2Rec_, fu1Rec_, mem_->busy(), endCycle_);
     if (telemetry_) {
         // Drain cycles: the ROB is empty, the units are finishing.
         sampleOccupancy(endCycle_ - now_);
-        // Per-unit memory busy is derived from the busy-interval
-        // sweep — REF has no cycle loop to hook, so both machines
-        // compute this structure the same way.
+        // Per-unit memory busy comes from the busy-interval fold —
+        // REF has no cycle loop to hook, so both machines compute
+        // this structure the same way.
         size_t mu = static_cast<size_t>(OccStruct::MemUnits);
-        accumulateIntervalDepth(mem_->busy(), endCycle_, occ_[mu],
-                                occTs_[mu]);
+        occ_[mu] = unitStates_.memDepth();
+        occTs_[mu] = unitStates_.memDepthSeries();
     }
 
     if (checkRetire_) {
@@ -2326,9 +2333,9 @@ OooMachine::run()
     res.machine = cfg_.name();
     res.cycles = endCycle_;
     res.instructions = committed_;
-    res.fu1BusyCycles = fu1Rec_.busyCycles();
-    res.fu2BusyCycles = fu2Rec_.busyCycles();
-    res.memBusyCycles = mem_->busy().busyCycles();
+    res.fu1BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu1);
+    res.fu2BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu2);
+    res.memBusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Mem);
     res.memRequests = mem_->stats().requests;
     res.memBankConflicts = mem_->stats().bankConflicts;
     res.memConflictCycles = mem_->stats().conflictCycles;
@@ -2351,8 +2358,7 @@ OooMachine::run()
     res.cpiCycles = cpi_;
     res.occupancy = occ_;
     res.occupancyTs = occTs_;
-    res.stateCycles = UnitStateBreakdown::compute(
-        fu2Rec_, fu1Rec_, mem_->busy(), endCycle_);
+    res.stateCycles = unitStates_.states();
     return res;
 }
 

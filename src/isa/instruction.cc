@@ -121,7 +121,8 @@ regStr(const RegId &r)
 {
     if (!r.valid())
         return "-";
-    return std::string(1, regClassPrefix(r.cls)) + std::to_string(r.idx);
+    return csprintf("%c%u", regClassPrefix(r.cls),
+                    static_cast<unsigned>(r.idx));
 }
 
 } // namespace

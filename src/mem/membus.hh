@@ -53,7 +53,7 @@ class AddressBus
     uint64_t requests() const { return requests_; }
 
     /** Busy intervals (the MEM component of the state breakdown). */
-    const IntervalRecorder &busy() const { return busy_; }
+    IntervalRecorder &busy() { return busy_; }
 
   private:
     Cycle freeAt_ = 0;

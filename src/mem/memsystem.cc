@@ -178,8 +178,8 @@ class FlatBus : public MemorySystem
      * A single bus already records its occupancy; don't store it
      * twice. Multiple buses merge into the base-class recorder.
      */
-    const IntervalRecorder &
-    busy() const override
+    IntervalRecorder &
+    busy() override
     {
         return buses_.size() == 1 ? buses_[0].busy() : busy_;
     }
@@ -439,6 +439,10 @@ class CachedMemory : public MemorySystem
                 MemAccess fill = backing_->reserve(
                     t, line * lineBytes_, kWordBytes, lineElems_,
                     MemOp::Load);
+                // The cache front's intervals are the MEM state;
+                // nothing reads the backing model's, so drop them
+                // before they pile up.
+                backing_->busy().clear();
                 // fill.lastData is one past the last element's
                 // arrival; the line is usable on the arrival cycle
                 // itself (dataAt is a closed arrival time, like the

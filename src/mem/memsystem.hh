@@ -288,8 +288,12 @@ class MemorySystem
     /** Occupancy and conflict counters. */
     virtual const MemStats &stats() const { return stats_; }
 
-    /** Address-phase busy intervals (the MEM state component). */
-    virtual const IntervalRecorder &busy() const { return busy_; }
+    /**
+     * Address-phase busy intervals (the MEM state component). The
+     * simulator folds them into its UnitStateBreakdown as time
+     * passes, which drops them from here.
+     */
+    virtual IntervalRecorder &busy() { return busy_; }
 
     /**
      * Miss-status registers still tracking an outstanding line fill

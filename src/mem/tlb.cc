@@ -112,16 +112,34 @@ Tlb::stridedPages(Addr addr, int64_t stride_bytes, unsigned elems,
                   std::vector<Addr> &out) const
 {
     out.clear();
-    Addr prev = 0;
-    bool have_prev = false;
-    for (unsigned i = 0; i < elems; ++i) {
+    if (elems == 0)
+        return;
+    const Addr page = cfg_.pageBytes;
+    // |stride| as an unsigned step; a zero stride never leaves the
+    // first page.
+    const Addr step = stride_bytes < 0 ? Addr{0} - Addr(stride_bytes)
+                                       : Addr(stride_bytes);
+    // Visit only the first element on each page: every element
+    // skipped in between provably shares its predecessor's page.
+    // Addresses wrap modulo 2^64 exactly like the per-element walk
+    // addr + i * stride.
+    uint64_t i = 0;
+    while (i < elems) {
         Addr a = addr + static_cast<int64_t>(i) * stride_bytes;
         Addr p = pageOf(a);
-        if (!have_prev || p != prev) {
+        if (out.empty() || out.back() != p)
             out.push_back(p);
-            prev = p;
-            have_prev = true;
+        if (step == 0)
+            break;
+        // Elements after i that stay on page p (and do not wrap).
+        uint64_t stay;
+        if (stride_bytes > 0) {
+            stay = std::min((page - 1 - a % page) / step,
+                            (~Addr{0} - a) / step);
+        } else {
+            stay = (a % page) / step;
         }
+        i += stay + 1;
     }
 }
 
@@ -332,7 +350,7 @@ class TranslatingMemorySystem : public MemorySystem
 
     Cycle freeAt(MemOp op) const override { return inner_->freeAt(op); }
 
-    const IntervalRecorder &busy() const override
+    IntervalRecorder &busy() override
     {
         return inner_->busy();
     }

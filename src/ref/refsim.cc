@@ -75,6 +75,8 @@ class RefMachine
                 : check::levelFromEnv();
         checkRetire_ = lvl >= check::CheckLevel::Retire;
         checkFull_ = lvl >= check::CheckLevel::Full;
+        if (telemetry_)
+            unitStates_.sampleMemDepth(cfg.mem.memUnits);
     }
 
     SimResult run();
@@ -140,6 +142,8 @@ class RefMachine
     std::vector<Addr> idxScratch_;
     IntervalRecorder fu1Rec_;
     IntervalRecorder fu2Rec_;
+    /** Busy intervals folded into the figure 3/7 state breakdown. */
+    UnitStateBreakdown unitStates_;
 
     Cycle nextIssue_ = 0;
     Cycle endCycle_ = 0;
@@ -149,6 +153,9 @@ class RefMachine
     std::array<uint64_t, kNumCpiBuckets> cpiCycles_{};
     /** One past the previous instruction's issue cycle. */
     Cycle issueEndPrev_ = 0;
+
+    /** Occupancy telemetry (cfg.telemetry or OOVA_TELEMETRY=1). */
+    bool telemetry_ = cfg_.telemetry || telemetryForced();
 
     // ---- invariant audit (observe-only; see src/check/) ----
     bool checkRetire_ = false;
@@ -459,6 +466,10 @@ RefMachine::run()
         }
         nextIssue_ = std::max(nextIssue_, ip.t + 1);
         finish(ip.t + 1);
+        // Issue is in order and every interval starts at or after
+        // its instruction's issue: busy time before ip.t is final.
+        unitStates_.foldIfBacklogged(fu2Rec_, fu1Rec_, mem_->busy(),
+                                     ip.t);
     }
 
     if (cfg_.cpiStack) {
@@ -470,16 +481,15 @@ RefMachine::run()
     // Occupancy telemetry (observe-only): REF is in-order with no
     // ROB, queues, renaming, or cache, so the only structure it
     // models is concurrently-busy memory units — derived from the
-    // same busy-interval sweep the OOOVA uses, so the occupancy
+    // same busy-interval fold the OOOVA uses, so the occupancy
     // figure compares like with like.
     std::array<StatDistribution, kNumOccStructs> occ{};
     std::array<StatTimeSeries, kNumOccStructs> occTs{};
-    bool telemetry = cfg_.telemetry || telemetryForced();
-    if (telemetry) {
+    unitStates_.fold(fu2Rec_, fu1Rec_, mem_->busy(), endCycle_);
+    if (telemetry_) {
         size_t mu = static_cast<size_t>(OccStruct::MemUnits);
-        occ[mu].setCapacity(std::max(cfg_.mem.memUnits, 1u));
-        accumulateIntervalDepth(mem_->busy(), endCycle_, occ[mu],
-                                occTs[mu]);
+        occ[mu] = unitStates_.memDepth();
+        occTs[mu] = unitStates_.memDepthSeries();
     }
 
     // End-of-run audit: memory-counter containment and TLB
@@ -498,7 +508,7 @@ RefMachine::run()
                                                  endCycle_);
             check::checkCpiConservation(endCycle_, cpiCycles_, cr);
         }
-        if (telemetry) {
+        if (telemetry_) {
             check::Reporter oc = audit_.reporter(
                 "occupancy-conservation", endCycle_);
             check::checkOccupancyConservation(endCycle_, occ, occTs,
@@ -511,9 +521,9 @@ RefMachine::run()
     res.machine = "REF" + cfg_.mem.label();
     res.cycles = endCycle_;
     res.instructions = trace_.size();
-    res.fu1BusyCycles = fu1Rec_.busyCycles();
-    res.fu2BusyCycles = fu2Rec_.busyCycles();
-    res.memBusyCycles = mem_->busy().busyCycles();
+    res.fu1BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu1);
+    res.fu2BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu2);
+    res.memBusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Mem);
     res.memRequests = mem_->stats().requests;
     res.memBankConflicts = mem_->stats().bankConflicts;
     res.memConflictCycles = mem_->stats().conflictCycles;
@@ -530,8 +540,7 @@ RefMachine::run()
     res.cpiCycles = cpiCycles_;
     res.occupancy = occ;
     res.occupancyTs = occTs;
-    res.stateCycles = UnitStateBreakdown::compute(
-        fu2Rec_, fu1Rec_, mem_->busy(), endCycle_);
+    res.stateCycles = unitStates_.states();
     return res;
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "busy_fold.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -91,7 +92,7 @@ TEST(Rng, ChanceRoughlyCalibrated)
 TEST(IntervalRecorder, EmptyHasNoBusyCycles)
 {
     IntervalRecorder rec;
-    EXPECT_EQ(rec.busyCycles(), 0u);
+    EXPECT_EQ(foldedBusyCycles(rec), 0u);
     EXPECT_EQ(rec.lastEnd(), 0u);
     EXPECT_EQ(rec.count(), 0u);
 }
@@ -100,7 +101,7 @@ TEST(IntervalRecorder, SingleInterval)
 {
     IntervalRecorder rec;
     rec.add(10, 20);
-    EXPECT_EQ(rec.busyCycles(), 10u);
+    EXPECT_EQ(foldedBusyCycles(rec), 10u);
     EXPECT_EQ(rec.lastEnd(), 20u);
 }
 
@@ -109,7 +110,7 @@ TEST(IntervalRecorder, ZeroLengthIgnored)
     IntervalRecorder rec;
     rec.add(5, 5);
     EXPECT_EQ(rec.count(), 0u);
-    EXPECT_EQ(rec.busyCycles(), 0u);
+    EXPECT_EQ(foldedBusyCycles(rec), 0u);
 }
 
 TEST(IntervalRecorder, OverlapsMerge)
@@ -118,7 +119,7 @@ TEST(IntervalRecorder, OverlapsMerge)
     rec.add(0, 10);
     rec.add(5, 15);
     rec.add(20, 30);
-    EXPECT_EQ(rec.busyCycles(), 25u);
+    EXPECT_EQ(foldedBusyCycles(rec), 25u);
 }
 
 TEST(IntervalRecorder, OutOfOrderInsertion)
@@ -127,7 +128,7 @@ TEST(IntervalRecorder, OutOfOrderInsertion)
     rec.add(50, 60);
     rec.add(0, 10);
     rec.add(10, 20); // adjacent, still contiguous with [0,10)
-    EXPECT_EQ(rec.busyCycles(), 30u);
+    EXPECT_EQ(foldedBusyCycles(rec), 30u);
 }
 
 TEST(IntervalRecorder, ClearResets)
@@ -135,14 +136,14 @@ TEST(IntervalRecorder, ClearResets)
     IntervalRecorder rec;
     rec.add(0, 100);
     rec.clear();
-    EXPECT_EQ(rec.busyCycles(), 0u);
+    EXPECT_EQ(foldedBusyCycles(rec), 0u);
     EXPECT_EQ(rec.lastEnd(), 0u);
 }
 
 TEST(UnitStateBreakdown, AllIdle)
 {
     IntervalRecorder a, b, c;
-    auto st = UnitStateBreakdown::compute(a, b, c, 100);
+    auto st = foldedStates(a, b, c, 100);
     EXPECT_EQ(st[0], 100u);
     for (int i = 1; i < 8; ++i)
         EXPECT_EQ(st[i], 0u);
@@ -152,7 +153,7 @@ TEST(UnitStateBreakdown, SingleUnitBusy)
 {
     IntervalRecorder fu2, fu1, mem;
     mem.add(0, 40);
-    auto st = UnitStateBreakdown::compute(fu2, fu1, mem, 100);
+    auto st = foldedStates(fu2, fu1, mem, 100);
     EXPECT_EQ(st[1], 40u); // < , ,MEM>
     EXPECT_EQ(st[0], 60u);
 }
@@ -163,7 +164,7 @@ TEST(UnitStateBreakdown, FullOverlap)
     fu2.add(0, 10);
     fu1.add(0, 10);
     mem.add(0, 10);
-    auto st = UnitStateBreakdown::compute(fu2, fu1, mem, 10);
+    auto st = foldedStates(fu2, fu1, mem, 10);
     EXPECT_EQ(st[7], 10u); // <FU2,FU1,MEM>
 }
 
@@ -173,7 +174,7 @@ TEST(UnitStateBreakdown, StaggeredStates)
     fu2.add(0, 30);  // FU2 busy [0,30)
     fu1.add(10, 20); // FU1 busy [10,20)
     mem.add(15, 40); // MEM busy [15,40)
-    auto st = UnitStateBreakdown::compute(fu2, fu1, mem, 50);
+    auto st = foldedStates(fu2, fu1, mem, 50);
     EXPECT_EQ(st[4], 10u); // <FU2, , >   [0,10)
     EXPECT_EQ(st[6], 5u);  // <FU2,FU1, > [10,15)
     EXPECT_EQ(st[7], 5u);  // all three   [15,20)
@@ -186,7 +187,7 @@ TEST(UnitStateBreakdown, IntervalsClampedToTotal)
 {
     IntervalRecorder fu2, fu1, mem;
     mem.add(0, 1000);
-    auto st = UnitStateBreakdown::compute(fu2, fu1, mem, 100);
+    auto st = foldedStates(fu2, fu1, mem, 100);
     EXPECT_EQ(st[1], 100u);
     uint64_t sum = 0;
     for (auto v : st)
@@ -201,7 +202,7 @@ TEST(UnitStateBreakdown, SumAlwaysEqualsTotal)
     fu2.add(5, 9);
     fu1.add(0, 4);
     mem.add(16, 22);
-    auto st = UnitStateBreakdown::compute(fu2, fu1, mem, 60);
+    auto st = foldedStates(fu2, fu1, mem, 60);
     uint64_t sum = 0;
     for (auto v : st)
         sum += v;

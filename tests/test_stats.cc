@@ -3,7 +3,8 @@
  * Tests for the occupancy-telemetry primitives (src/common/stats.hh):
  * StatDistribution math against brute-force recomputation from the
  * raw sample stream, StatTimeSeries epoch bounding and
- * batching-independence, interval-depth accumulation conservation,
+ * batching-independence, the busy-interval fold (state breakdown,
+ * busy cycles and memory depth) against a whole-run brute force,
  * the observe-only guarantee (telemetry on/off changes no result
  * field), the occupancy-conservation checker firing on corrupt
  * state, and --stats dump determinism across worker counts.
@@ -219,7 +220,7 @@ TEST(StatTimeSeries, MergeDoublesEpochLengthAndKeepsSums)
     EXPECT_DOUBLE_EQ(ts.epochMean(24), 3.0);
 }
 
-// ------------------------------------------- accumulateIntervalDepth
+// ------------------------------------------------- busy-interval fold
 
 TEST(AccumulateIntervalDepth, ConservesWeightAndMatchesBruteForce)
 {
@@ -229,12 +230,15 @@ TEST(AccumulateIntervalDepth, ConservesWeightAndMatchesBruteForce)
     rec.add(5, 7);  // depth 3 over [5, 7)
     rec.add(20, 30);
     rec.add(28, 50); // clipped at total below
+    const auto intervals = rec.intervals(); // the fold drains rec
 
     constexpr Cycle kTotal = 40;
-    StatDistribution dist;
-    dist.setCapacity(8);
-    StatTimeSeries ts;
-    accumulateIntervalDepth(rec, kTotal, dist, ts);
+    IntervalRecorder idle;
+    UnitStateBreakdown states;
+    states.sampleMemDepth(8);
+    states.fold(idle, idle, rec, kTotal);
+    const StatDistribution &dist = states.memDepth();
+    const StatTimeSeries &ts = states.memDepthSeries();
 
     // Conservation: exactly one unit of weight per cycle in range.
     EXPECT_EQ(dist.samples, kTotal);
@@ -244,7 +248,7 @@ TEST(AccumulateIntervalDepth, ConservesWeightAndMatchesBruteForce)
     uint64_t sum = 0, maxDepth = 0;
     for (Cycle c = 0; c < kTotal; ++c) {
         uint64_t depth = 0;
-        for (const auto &[s, e] : rec.intervals())
+        for (const auto &[s, e] : intervals)
             if (c >= s && c < std::min<Cycle>(e, kTotal))
                 ++depth;
         sum += depth;
@@ -253,6 +257,159 @@ TEST(AccumulateIntervalDepth, ConservesWeightAndMatchesBruteForce)
     EXPECT_EQ(dist.sum, sum);
     EXPECT_EQ(dist.maxValue, maxDepth);
     EXPECT_EQ(dist.minValue, 0u); // cycles [0,2) are idle
+}
+
+namespace
+{
+
+using Intervals = std::vector<std::pair<Cycle, Cycle>>;
+
+/**
+ * Random busy intervals inside [0, horizon): back to back with gaps
+ * when @p serial (a serially-reused unit), else overlapping (several
+ * memory units). Sorted by start.
+ */
+Intervals
+randomIntervals(Lcg &rng, Cycle horizon, bool serial)
+{
+    Intervals out;
+    Cycle t = 0;
+    while (true) {
+        t += rng.next(serial ? 12 : 6);
+        Cycle len = 1 + rng.next(serial ? 20 : 60);
+        if (t + len > horizon)
+            break;
+        out.emplace_back(t, t + len);
+        if (serial)
+            t += len;
+    }
+    return out;
+}
+
+/** Everything one fold accounts, for whole-state comparison. */
+struct Folded
+{
+    UnitStateBreakdown::States states{};
+    std::array<uint64_t, 3> busy{};
+    StatDistribution depth;
+    StatTimeSeries depthTs;
+
+    bool operator==(const Folded &) const = default;
+};
+
+/**
+ * The whole-run oracle: cover [0, total) cycle by cycle, counting
+ * the intervals (clipped to the run) over each unit.
+ */
+Folded
+bruteForce(const std::array<Intervals, 3> &units, Cycle total,
+           unsigned mem_units)
+{
+    Folded f;
+    f.depth.setCapacity(mem_units);
+    for (Cycle c = 0; c < total; ++c) {
+        unsigned state = 0;
+        uint64_t memDepth = 0;
+        for (unsigned u = 0; u < 3; ++u) {
+            uint64_t depth = 0;
+            for (const auto &[s, e] : units[u])
+                depth += c >= s && c < e;
+            if (depth > 0) {
+                state |= 1u << u;
+                ++f.busy[u];
+            }
+            if (u == UnitStateBreakdown::Mem)
+                memDepth = depth;
+        }
+        ++f.states[state];
+        f.depth.sample(memDepth);
+        f.depthTs.sample(memDepth);
+    }
+    return f;
+}
+
+} // namespace
+
+// Folding a run at many random frontiers, with intervals added in
+// shuffled order up to each frontier, accounts exactly what one
+// whole-run sweep does.
+TEST(BusyFold, RandomFrontiersMatchWholeRunSweep)
+{
+    constexpr unsigned kMemUnits = 3;
+    Lcg rng;
+    for (int trial = 0; trial < 60; ++trial) {
+        Cycle horizon = 200 + rng.next(800);
+        // Unit index == state bit: the memory unit overlaps; each FU
+        // is serial in most trials and overlapping in a few, so both
+        // window paths run on every unit.
+        std::array<Intervals, 3> units;
+        for (unsigned u = 0; u < 3; ++u) {
+            bool serial = u != UnitStateBreakdown::Mem &&
+                          rng.next(4) != 0;
+            units[u] = randomIntervals(rng, horizon, serial);
+        }
+        // Some runs end before their last interval does.
+        Cycle total = horizon - rng.next(horizon / 4);
+
+        std::array<IntervalRecorder, 3> recs;
+        UnitStateBreakdown folded;
+        folded.sampleMemDepth(kMemUnits);
+        std::array<size_t, 3> added{};
+        Cycle to = 0;
+        while (to < total) {
+            to = std::min<Cycle>(total, to + rng.next(120));
+            // Add every interval starting before the next frontier;
+            // a fold may only see intervals starting at or after
+            // its own frontier, so later ones wait.
+            for (unsigned u = 0; u < 3; ++u) {
+                size_t end = added[u];
+                while (end < units[u].size() && units[u][end].first < to)
+                    ++end;
+                Intervals batch(units[u].begin() + added[u],
+                                units[u].begin() + end);
+                if (!units[u].empty() && rng.next(2)) {
+                    for (size_t i = batch.size(); i > 1; --i)
+                        std::swap(batch[i - 1], batch[rng.next(i)]);
+                }
+                for (const auto &[s, e] : batch)
+                    recs[u].add(s, e);
+                added[u] = end;
+            }
+            folded.fold(recs[UnitStateBreakdown::Fu2],
+                        recs[UnitStateBreakdown::Fu1],
+                        recs[UnitStateBreakdown::Mem], to);
+        }
+
+        Folded got;
+        got.states = folded.states();
+        for (unsigned u = 0; u < 3; ++u)
+            got.busy[u] = folded.busyCycles(
+                static_cast<UnitStateBreakdown::Unit>(u));
+        got.depth = folded.memDepth();
+        got.depthTs = folded.memDepthSeries();
+        for (unsigned u = 0; u < 3; ++u)
+            for (auto &[s, e] : units[u])
+                e = std::min(e, total);
+        EXPECT_EQ(got, bruteForce(units, total, kMemUnits))
+            << "trial " << trial;
+    }
+}
+
+TEST(BusyFold, RetainsOnlyIntervalsPastTheFrontier)
+{
+    IntervalRecorder fu2, fu1, mem;
+    mem.add(0, 10);
+    mem.add(5, 30); // straddles the fold below
+    mem.add(40, 50);
+    fu1.add(0, 20);
+    UnitStateBreakdown b;
+    b.fold(fu2, fu1, mem, 20);
+    EXPECT_EQ(fu1.count(), 0u);
+    EXPECT_EQ(mem.intervals(),
+              (Intervals{{20, 30}, {40, 50}}));
+    EXPECT_TRUE(mem.sortedDisjoint()) << "the overlap was folded";
+    EXPECT_EQ(b.busyCycles(UnitStateBreakdown::Mem), 20u);
+    EXPECT_EQ(b.busyCycles(UnitStateBreakdown::Fu1), 20u);
 }
 
 // --------------------------------------- occupancy conservation check

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/ooosim.hh"
 #include "harness/experiment.hh"
 #include "mem/memsystem.hh"
@@ -127,6 +129,45 @@ TEST(Tlb, StridedStreamTranslatesOncePerPageCrossed)
     EXPECT_EQ(down[2], 1u);
     // Zero elements: nothing to translate.
     EXPECT_TRUE(tlb.stridedPages(0x1000, 8, 0).empty());
+}
+
+// The page-to-page walk emits exactly the lookup sequence of a walk
+// over every element: positive, negative and zero strides, strides
+// past a page, non-power-of-two pages, and streams that wrap the
+// address space.
+TEST(Tlb, StridedPagesMatchesPerElementWalk)
+{
+    auto perElement = [](const Tlb &tlb, Addr addr, int64_t stride,
+                         unsigned elems) {
+        std::vector<Addr> out;
+        for (unsigned i = 0; i < elems; ++i) {
+            Addr p = tlb.pageOf(addr + static_cast<int64_t>(i) * stride);
+            if (out.empty() || out.back() != p)
+                out.push_back(p);
+        }
+        return out;
+    };
+    Rng rng(7);
+    const int64_t fixed[] = {0, 8, -8, 4096, -4096, 4104, -12288};
+    std::vector<Addr> got;
+    for (unsigned page : {512u, 4096u, 5000u}) {
+        Tlb tlb(smallTlb(64, page));
+        for (int trial = 0; trial < 2000; ++trial) {
+            Addr addr = rng.uniform(0, 1u << 20);
+            if (trial % 10 == 0) // near the top of the address space
+                addr = ~Addr{0} - rng.uniform(0, 3 * page);
+            int64_t stride =
+                trial % 4 == 0
+                    ? fixed[rng.uniform(0, std::size(fixed) - 1)]
+                    : static_cast<int64_t>(rng.uniform(0, 6 * page)) -
+                          3 * static_cast<int64_t>(page);
+            auto elems = static_cast<unsigned>(rng.uniform(0, 200));
+            tlb.stridedPages(addr, stride, elems, got);
+            ASSERT_EQ(got, perElement(tlb, addr, stride, elems))
+                << "addr " << addr << " stride " << stride << " elems "
+                << elems << " page " << page;
+        }
+    }
 }
 
 TEST(Tlb, IndexedStreamTranslatesPerElement)
