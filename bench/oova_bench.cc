@@ -124,9 +124,8 @@ runPipetrace(const std::string &bench, const std::string &path,
     }
 
     PipeTracer tracer(limit);
-    OooConfig cfg = makeOooConfig();
-    cfg.pipeTracer = &tracer;
-    SimResult res = simulateOoo(traces.get(bench), cfg);
+    SimResult res = simulateOoo(traces.get(bench), makeOooConfig(), {},
+                                -1, &tracer);
     tracer.finish();
     if (!tracer.write(path)) {
         std::fprintf(stderr, "cannot write '%s'\n", path.c_str());

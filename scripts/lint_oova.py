@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint gate.
 
-Six repo invariants that neither the compiler nor clang-tidy can
+Five repo invariants that neither the compiler nor clang-tidy can
 see, each of which has bitten (or nearly bitten) a past PR:
 
   1. Every data member and derived accessor of struct SimResult has
@@ -20,12 +20,7 @@ see, each of which has bitten (or nearly bitten) a past PR:
      generates both the enum and cpiBucketName(), surfaced by
      toJson()) has a row in the README's CPI-bucket table, and vice
      versa — a bucket nobody can read about is dead observability.
-  5. Every data member of the machine-config structs (OooConfig,
-     RefConfig, MemConfig, TlbConfig, LatencyTable) is serialized in
-     the config-key region of src/harness/sweep.cc (or explicitly
-     allowlisted as observe-only) — a knob missing from
-     sweepConfigKey() would alias store entries of runs that set it.
-  6. Every OccStruct label (the OOVA_OCC_STRUCTS list, which
+  5. Every OccStruct label (the OOVA_OCC_STRUCTS list, which
      generates both the enum and occStructName()) has a row in the
      README's occupancy-structure table, and vice versa; and both
      telemetry renderers (SimResult::toJson() in simresult.cc, the
@@ -36,7 +31,8 @@ see, each of which has bitten (or nearly bitten) a past PR:
 
 Figure <-> golden completeness is scripts/check_goldens.sh's job
 (MISSING GOLDENS / ORPHAN GOLDENS), which reads the registry from
-`oova_bench --list` rather than from the source.
+`oova_bench --list` rather than from the source. Config-key
+completeness is a static_assert in src/harness/sweep.cc.
 
 Exit code: 0 clean, 1 violations (each printed as "LINT: ...").
 """
@@ -147,7 +143,7 @@ for sub in ("src", "bench", "examples"):
                     "slab, a container, or a smart pointer")
 
 # ---------------------------------------------------------------
-# Rules 4 + 6 share one parser: an X(Enumerator, "label") list, the
+# Rules 4 + 5 share one parser: an X(Enumerator, "label") list, the
 # one declaration of both an enum and its *Name() labels.
 # ---------------------------------------------------------------
 
@@ -194,80 +190,7 @@ cpi_entries = label_list("OOVA_CPI_BUCKETS", "src/mem/simresult.hh")
 check_readme_table("CPI bucket", cpi_entries, "### CPI buckets")
 
 # ---------------------------------------------------------------
-# Rule 5: every machine-config data member is serialized in the
-# config-key region of src/harness/sweep.cc (or allowlisted).
-# ---------------------------------------------------------------
-
-# Observe-only knobs that never change a simulation result:
-# checkLevel (the invariant audit observes, it never steers) and
-# pipeTracer (tracing jobs are made uncacheable instead of keyed).
-CONFIG_KEY_EXEMPT = {"checkLevel", "pipeTracer"}
-
-CONFIG_STRUCTS = [
-    ("OooConfig", "src/core/config.hh"),
-    ("RefConfig", "src/ref/refsim.hh"),
-    ("MemConfig", "src/mem/memsystem.hh"),
-    ("TlbConfig", "src/mem/tlb.hh"),
-    ("LatencyTable", "src/isa/latency.hh"),
-]
-
-
-def config_members(struct: str, rel: str) -> list:
-    """Data-member names of one config struct."""
-    src = (ROOT / rel).read_text()
-    m = re.search(r"struct " + struct + r"\s*\{(.*?)\n\};", src, re.S)
-    if not m:
-        err(f"cannot find struct {struct} in {rel}")
-        return []
-    body = m.group(1)
-    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
-    body = re.sub(r"//[^\n]*", "", body)
-    # Data members always come first in these structs; truncate at
-    # the first inline member-function header (a line with "(" that
-    # is neither a declaration ending in ";" nor a member
-    # initializer containing "=") so function bodies — whose
-    # "return t;" lines would fool the declarator regex — are never
-    # scanned.
-    lines = []
-    for line in body.splitlines():
-        if "(" in line and "=" not in line and ";" not in line:
-            break
-        lines.append(line)
-    body = "\n".join(lines)
-    # Member declarations left: "type name;", "type name = init;".
-    return [dm.group(1) for dm in re.finditer(
-        r"^\s+[A-Za-z_][\w:<>,*& ]*?[\s*&](\w+)\s*(?:=[^;]*|\{\})?;",
-        body, re.M)]
-
-
-sweep_src = (ROOT / "src/harness/sweep.cc").read_text()
-key_regions = re.findall(
-    r"// BEGIN config-key fields(.*?)// END config-key fields",
-    sweep_src, re.S)
-if not key_regions:
-    err("no '// BEGIN config-key fields' region in "
-        "src/harness/sweep.cc")
-key_text = "\n".join(key_regions)
-
-config_member_count = 0
-for struct, rel in CONFIG_STRUCTS:
-    members = config_members(struct, rel)
-    if len(members) < 5:
-        err(f"{struct} parse found only {len(members)} members in "
-            f"{rel}; the parser is broken")
-    config_member_count += len(members)
-    for member in members:
-        if member in CONFIG_KEY_EXEMPT:
-            continue
-        if f".{member}" not in key_text:
-            err(f"{struct}::{member} ({rel}) is not serialized in "
-                "the config-key region of src/harness/sweep.cc — "
-                "runs differing only in it would alias one result-"
-                "store entry; key it (or allowlist it as observe-"
-                "only in scripts/lint_oova.py)")
-
-# ---------------------------------------------------------------
-# Rule 6: occupancy structures <-> README occupancy table, and both
+# Rule 5: occupancy structures <-> README occupancy table, and both
 # telemetry renderers emit through occStructName().
 # ---------------------------------------------------------------
 
@@ -291,5 +214,4 @@ if errors:
 print("lint_oova: all checks passed "
       f"({len(fields)} SimResult fields, "
       f"{len(cpi_entries)} CPI buckets, "
-      f"{config_member_count} config-key members, "
       f"{len(occ_entries)} occupancy structures)")

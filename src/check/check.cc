@@ -1,5 +1,6 @@
 #include "check/check.hh"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +48,10 @@ parseLevel(const char *text)
 } // namespace
 
 CheckLevel
-levelFromEnv()
+resolveLevel(int requested)
 {
+    if (requested >= 0)
+        return static_cast<CheckLevel>(std::min(requested, 2));
     static const CheckLevel level = parseLevel(getenv("OOVA_CHECK"));
     return level;
 }

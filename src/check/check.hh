@@ -13,7 +13,8 @@
  * every build type, gem5-checker style: checkers are registered
  * against live simulator state and run at configurable granularity.
  *
- * Levels (OOVA_CHECK environment variable, or OooConfig::checkLevel):
+ * Levels (OOVA_CHECK environment variable, or the checkLevel
+ * argument of simulateOoo() / simulateRef()):
  *
  *   0 (Off)    no checkers run; zero overhead beyond one branch.
  *   1 (Retire) cheap per-retire checks plus a full end-of-run audit.
@@ -51,11 +52,12 @@ enum class CheckLevel : uint8_t
 };
 
 /**
- * Audit level from the OOVA_CHECK environment variable (parsed once
- * per process): 0, 1 or 2. Unset means Off; anything else warns and
- * falls back to Off.
+ * The audit level of a run: @p requested when it is not negative
+ * (above 2 means Full), else the OOVA_CHECK environment variable
+ * (parsed once per process): 0, 1 or 2. Unset means Off; anything
+ * else warns and falls back to Off.
  */
-CheckLevel levelFromEnv();
+CheckLevel resolveLevel(int requested);
 
 /** Human-readable level name ("off", "retire", "full"). */
 const char *levelName(CheckLevel level);

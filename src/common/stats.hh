@@ -356,7 +356,7 @@ class UnitStateBreakdown
 /**
  * True when OOVA_TELEMETRY=1 (or any nonzero value) is in the
  * environment: forces occupancy sampling on regardless of
- * cfg.telemetry, exactly like OOVA_CHECK overrides checkLevel. Used
+ * cfg.telemetry, exactly like OOVA_CHECK sets the audit level. Used
  * by CI to prove every golden byte-identical with sampling enabled.
  */
 bool telemetryForced();

@@ -18,8 +18,6 @@
 namespace oova
 {
 
-class PipeTracer;
-
 /** When may an instruction's ROB entry commit? */
 enum class CommitMode
 {
@@ -67,7 +65,7 @@ struct OooConfig
      * Chain memory loads into functional units. The OOOVA inherits
      * the C3400 datapath, which does not support load chaining
      * (section 2.1); out-of-order issue is what hides the latency
-     * instead. On for the ablation study bench/abl_chaining.
+     * instead. On for the ablation study `oova_bench abl`.
      */
     bool chainLoadsToFus = false;
 
@@ -75,19 +73,10 @@ struct OooConfig
     unsigned trapPenalty = 50;
 
     /**
-     * Invariant-audit level (src/check/): -1 inherits the OOVA_CHECK
-     * environment variable; 0/1/2 force off / retire+end / full.
-     * Checkers are observe-only, so the level never changes simulated
-     * timing, figure output, or the machine name.
-     */
-    int checkLevel = -1;
-
-    /**
      * Cycle accounting (CPI stack): charge every cycle of the run to
-     * one CpiBucket, surfaced as SimResult::cpiCycles. Observe-only
-     * like checkLevel — it never changes simulated timing, figure
-     * output, or the machine name. Off by default so the hot path
-     * pays nothing.
+     * one CpiBucket, surfaced as SimResult::cpiCycles. Observe-only:
+     * it never changes simulated timing, figure output, or the
+     * machine name. Off by default so the hot path pays nothing.
      */
     bool cpiStack = false;
 
@@ -99,17 +88,9 @@ struct OooConfig
      * simulated timing, figure output, or the machine name — and off
      * by default so the hot path pays nothing. OOVA_TELEMETRY=1 in
      * the environment forces it on (the goldens-byte-identical CI
-     * proof), exactly as OOVA_CHECK overrides checkLevel.
+     * proof), exactly as OOVA_CHECK overrides the audit level.
      */
     bool telemetry = false;
-
-    /**
-     * Optional instruction-lifecycle tracer (common/pipetrace.hh)
-     * recording fetch/rename/dispatch/issue/complete/retire/squash
-     * timestamps. Observe-only; null (the default) disables tracing
-     * entirely. Not owned; the caller keeps it alive for the run.
-     */
-    PipeTracer *pipeTracer = nullptr;
 
     /**
      * The memory hierarchy behind the address path. The default
@@ -118,6 +99,31 @@ struct OooConfig
      * models. lat.memLatency feeds whichever model is selected.
      */
     MemConfig mem;
+
+    /** The field table, as LatencyTable::visitFields(). */
+    template <typename Self, typename F>
+    static constexpr void
+    visitFields(Self &c, F &&f)
+    {
+        f("lat", c.lat);
+        f("numPhysVRegs", c.numPhysVRegs);
+        f("numPhysARegs", c.numPhysARegs);
+        f("numPhysSRegs", c.numPhysSRegs);
+        f("numPhysMRegs", c.numPhysMRegs);
+        f("queueSize", c.queueSize);
+        f("robSize", c.robSize);
+        f("commitWidth", c.commitWidth);
+        f("fetchBufferSize", c.fetchBufferSize);
+        f("btbEntries", c.btbEntries);
+        f("rasDepth", c.rasDepth);
+        f("commit", c.commit);
+        f("loadElim", c.loadElim);
+        f("chainLoadsToFus", c.chainLoadsToFus);
+        f("trapPenalty", c.trapPenalty);
+        f("cpiStack", c.cpiStack);
+        f("telemetry", c.telemetry);
+        f("mem", c.mem);
+    }
 
     /** Short label, e.g. "OOOVA-16/16r/early" or ".../mb8p1". */
     std::string name() const;

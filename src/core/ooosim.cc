@@ -165,19 +165,17 @@ class OooMachine
 {
   public:
     OooMachine(const Trace &trace, const OooConfig &cfg,
-               const FaultInjection &fault)
+               const FaultInjection &fault, int checkLevel,
+               PipeTracer *tracer)
         : trace_(trace), cfg_(cfg), lat_(cfg.lat), fault_(fault),
+          tracer_(tracer),
           renamer_(RenamerConfig{cfg.numPhysARegs, cfg.numPhysSRegs,
                                  cfg.numPhysVRegs, cfg.numPhysMRegs}),
           btb_(cfg.btbEntries), ras_(cfg.rasDepth),
           mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency))
     {
         pipeStage_.fill(nullptr);
-        check::CheckLevel lvl =
-            cfg.checkLevel >= 0
-                ? static_cast<check::CheckLevel>(
-                      std::min(cfg.checkLevel, 2))
-                : check::levelFromEnv();
+        check::CheckLevel lvl = check::resolveLevel(checkLevel);
         checkRetire_ = lvl >= check::CheckLevel::Retire;
         checkFull_ = lvl >= check::CheckLevel::Full;
         if (telemetry_) {
@@ -443,6 +441,8 @@ class OooMachine
     const OooConfig &cfg_;
     const LatencyTable &lat_;
     FaultInjection fault_;
+    /** Instruction-lifecycle tracer (null = off). */
+    PipeTracer *tracer_;
 
     Renamer renamer_;
     Btb btb_;
@@ -522,8 +522,6 @@ class OooMachine
      * distinguish the two (mispredict redirects also set it).
      */
     Cycle trapStallUntil_ = 0;
-    /** Instruction-lifecycle tracer (null = off). */
-    PipeTracer *tracer_ = cfg_.pipeTracer;
     /**
      * Occupancy telemetry (observe-only; cfg.telemetry or
      * OOVA_TELEMETRY=1): one distribution + time series per
@@ -2336,18 +2334,7 @@ OooMachine::run()
     res.fu1BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu1);
     res.fu2BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu2);
     res.memBusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Mem);
-    res.memRequests = mem_->stats().requests;
-    res.memBankConflicts = mem_->stats().bankConflicts;
-    res.memConflictCycles = mem_->stats().conflictCycles;
-    res.memIndexedConflicts = mem_->stats().indexedConflicts;
-    res.memIndexedConflictCycles = mem_->stats().indexedConflictCycles;
-    res.cacheHits = mem_->stats().cacheHits;
-    res.cacheMisses = mem_->stats().cacheMisses;
-    res.mshrStallCycles = mem_->stats().mshrStallCycles;
-    res.tlbHits = mem_->stats().tlbHits;
-    res.tlbMisses = mem_->stats().tlbMisses;
-    res.tlbIndexedMisses = mem_->stats().tlbIndexedMisses;
-    res.tlbMissCycles = mem_->stats().tlbMissCycles;
+    recordMemStats(mem_->stats(), res);
     res.vectorLoadsEliminated = vElims_;
     res.scalarLoadsEliminated = sElims_;
     res.branchMispredicts = mispredicts_;
@@ -2366,9 +2353,10 @@ OooMachine::run()
 
 SimResult
 simulateOoo(const Trace &trace, const OooConfig &cfg,
-            const FaultInjection &fault)
+            const FaultInjection &fault, int checkLevel,
+            PipeTracer *tracer)
 {
-    OooMachine machine(trace, cfg, fault);
+    OooMachine machine(trace, cfg, fault, checkLevel, tracer);
     return machine.run();
 }
 

@@ -37,6 +37,8 @@
 namespace oova
 {
 
+class PipeTracer;
+
 /**
  * Optional fault injection for the precise-trap integration tests:
  * the dynamic instruction with sequence number @p faultSeq (which
@@ -49,9 +51,16 @@ struct FaultInjection
     SeqNum faultSeq = kNoSeq;
 };
 
-/** Run @p trace through the OOOVA. */
+/**
+ * Run @p trace through the OOOVA. The trailing arguments only observe
+ * the run: @p checkLevel is the invariant-audit level
+ * (check::resolveLevel()), and a non-null @p tracer records every
+ * instruction's pipeline timestamps (common/pipetrace.hh); the caller
+ * keeps it alive for the run.
+ */
 SimResult simulateOoo(const Trace &trace, const OooConfig &cfg = {},
-                      const FaultInjection &fault = {});
+                      const FaultInjection &fault = {},
+                      int checkLevel = -1, PipeTracer *tracer = nullptr);
 
 } // namespace oova
 

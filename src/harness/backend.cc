@@ -100,7 +100,6 @@ std::vector<JobOutcome>
 InProcessBackend::run(const std::vector<SweepJob> &jobs)
 {
     std::vector<JobOutcome> out(jobs.size());
-    std::atomic<size_t> done{0};
 
     auto runOne = [&](size_t i, uint32_t tid) {
         out[i] = runSweepJob(traces_, jobs[i]);
@@ -109,7 +108,7 @@ InProcessBackend::run(const std::vector<SweepJob> &jobs)
                 traceLog_, out[i], tid, traceLog_->nowUs(),
                 static_cast<uint64_t>(out[i].wallMs * 1000.0));
         if (progress_)
-            progress_(done.fetch_add(1) + 1, jobs.size());
+            progress_(1);
     };
 
     unsigned workers = threads_;
@@ -191,8 +190,8 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
     size_t hits = 0;
     for (size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob &job = jobs[i];
-        // Uncacheable jobs (empty configKey: prefetch dummies,
-        // observe-side-effect runs) always go to the inner backend.
+        // Uncacheable jobs (empty configKey: prefetch dummies)
+        // always go to the inner backend.
         std::string key;
         if (!job.configKey.empty()) {
             key = resultKey(traces_, job, inlineHashes);
@@ -232,18 +231,9 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
         traceLog_->addSpan(std::move(lookup));
     }
 
-    if (progress_) {
-        if (hits)
-            progress_(hits, jobs.size());
-        // Re-base the inner backend's progress on top of the hits.
-        size_t total = jobs.size();
-        size_t base = hits;
-        inner_->setProgress([this, base, total](size_t d, size_t) {
-            progress_(base + d, total);
-        });
-    } else {
-        inner_->setProgress({});
-    }
+    if (progress_ && hits)
+        progress_(hits);
+    inner_->setProgress(progress_);
 
     if (missJobs.empty())
         return out;

@@ -66,12 +66,12 @@ class SweepBackend
     virtual std::string describe() const = 0;
 
     /**
-     * Install a per-job completion callback (jobs done, batch
-     * size), invoked concurrently from workers — must be
+     * Install a completion callback reporting @c n more jobs of the
+     * batch done, invoked concurrently from workers — must be
      * thread-safe. Never called when unset.
      */
     void
-    setProgress(std::function<void(size_t, size_t)> cb)
+    setProgress(std::function<void(size_t n)> cb)
     {
         progress_ = std::move(cb);
     }
@@ -86,7 +86,7 @@ class SweepBackend
     virtual void setTraceLog(SweepTraceLog *log) { traceLog_ = log; }
 
   protected:
-    std::function<void(size_t, size_t)> progress_;
+    std::function<void(size_t n)> progress_;
     SweepTraceLog *traceLog_ = nullptr;
 };
 

@@ -17,7 +17,6 @@
 #include <array>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -51,35 +50,17 @@ struct Machine
     Machine(const RefConfig &cfg) : job(refJob("", cfg)) {}
     Machine(const OooConfig &cfg) : job(oooJob("", cfg)) {}
     Machine(Ideal) : job(idealJob("")) {}
-    SweepJob job;
-};
 
-/**
- * A figure's jobs, one per distinct (program, machine), keyed on the
- * job's configKey (the key the memo and the store use): cells that
- * name one machine read one result.
- */
-class Batch
-{
-  public:
-    size_t
-    add(const std::string &program, const Machine &m)
+    /** This machine's job on @p program. */
+    SweepJob
+    on(const std::string &program) const
     {
-        auto [it, fresh] = index_.try_emplace(
-            program + '|' + m.job.configKey, index_.size());
-        if (fresh) {
-            SweepJob job = m.job;
-            job.trace = program;
-            js_.add(std::move(job));
-        }
-        return it->second;
+        SweepJob j = job;
+        j.trace = program;
+        return j;
     }
-    void run(const SweepEngine &engine) { js_.run(engine); }
-    const SimResult &operator[](size_t i) const { return js_[i]; }
 
-  private:
-    JobSet js_;
-    std::unordered_map<std::string, size_t> index_;
+    SweepJob job;
 };
 
 /** A cell's number, from its column's base and test results. */
@@ -138,16 +119,16 @@ columnFigure(const SweepEngine &engine,
         return s.programs.empty() ? engine.traces().names()
                                   : s.programs;
     };
-    Batch batch;
+    JobSet js;
     // (base, test) job of every cell, in printing order.
     std::vector<std::pair<size_t, size_t>> cells;
     for (const Section &s : sections)
         for (const std::string &p : programs(s))
             for (const Column &c : s.columns) {
-                size_t base = batch.add(p, c.base);
-                cells.emplace_back(base, batch.add(p, c.test));
+                size_t base = js.add(c.base.on(p));
+                cells.emplace_back(base, js.add(c.test.on(p)));
             }
-    batch.run(engine);
+    js.run(engine);
 
     FigureResult out;
     auto cell = cells.begin();
@@ -159,8 +140,8 @@ columnFigure(const SweepEngine &engine,
         for (const std::string &p : programs(s)) {
             std::vector<std::string> row{p};
             for (const Column &c : s.columns) {
-                const SimResult &base = batch[cell->first];
-                const SimResult &test = batch[cell->second];
+                const SimResult &base = js[cell->first];
+                const SimResult &test = js[cell->second];
                 ++cell;
                 if (const auto *field =
                         std::get_if<uint64_t SimResult::*>(&c.metric))
@@ -192,20 +173,20 @@ breakdownFigure(const SweepEngine &engine, const char *rowHeader,
                 std::string footnote)
 {
     const auto &names = engine.traces().names();
-    Batch batch;
+    JobSet js;
     std::vector<size_t> idx; // program-major, machine-minor
     std::vector<std::string> header{rowHeader};
     for (const auto &[label, m] : machines)
         header.push_back(label);
     for (const std::string &p : names)
         for (const auto &[label, m] : machines)
-            idx.push_back(batch.add(p, m));
-    batch.run(engine);
+            idx.push_back(js.add(m.on(p)));
+    js.run(engine);
 
     FigureResult out;
     for (size_t p = 0; p < names.size(); ++p) {
         auto result = [&](size_t m) -> const SimResult & {
-            return batch[idx[p * machines.size() + m]];
+            return js[idx[p * machines.size() + m]];
         };
         TextTable table(header);
         for (size_t b = 0; b < buckets.size(); ++b) {
@@ -1092,12 +1073,12 @@ figOccupancy(const SweepEngine &engine)
     cachedTlbMem(ooo64.mem);
 
     const Machine machines[] = {refCfg, ooo16, ooo64};
-    Batch batch;
+    JobSet js;
     std::vector<std::array<size_t, 3>> idx(names.size());
     for (size_t p = 0; p < names.size(); ++p)
         for (size_t m = 0; m < 3; ++m)
-            idx[p][m] = batch.add(names[p], machines[m]);
-    batch.run(engine);
+            idx[p][m] = js.add(machines[m].on(names[p]));
+    js.run(engine);
 
     FigureResult out;
     for (size_t p = 0; p < names.size(); ++p) {
@@ -1109,7 +1090,7 @@ figOccupancy(const SweepEngine &engine)
                 occStructName(static_cast<OccStruct>(s))};
             for (size_t m = 0; m < 3; ++m) {
                 const StatDistribution &d =
-                    batch[idx[p][m]].occupancy[s];
+                    js[idx[p][m]].occupancy[s];
                 if (d.samples == 0) {
                     row.push_back("-");
                     row.push_back("-");

@@ -1,5 +1,8 @@
 #include "harness/sweep.hh"
 
+#include <atomic>
+#include <type_traits>
+
 #include "common/logging.hh"
 #include "core/ideal.hh"
 #include "core/ooosim.hh"
@@ -11,84 +14,84 @@ namespace oova
 namespace
 {
 
-// BEGIN config-key fields
-//
-// Every data member of LatencyTable / TlbConfig / MemConfig /
-// RefConfig / OooConfig that can influence a simulation result must
-// be serialized between these markers — scripts/lint_oova.py fails
-// the build when a member of those structs is missing here, so a new
-// knob can never silently alias store entries of runs that set it.
-// Deliberately excluded (observe-only, results unaffected):
-// checkLevel, pipeTracer (tracing jobs are made uncacheable instead).
-
-std::string
-latKey(const LatencyTable &lat)
+/** Converts to any member type: an initializer for memberCount(). */
+struct AnyField
 {
-    return csprintf(
-        "lat{%u,%u,%u,%u,%u,%u,%u,%u,%u,%u}", lat.readXbar,
-        lat.writeXbarVector, lat.writeXbarScalar, lat.vectorStartup,
-        lat.moveLat, lat.addLogic, lat.mul, lat.divSqrt,
-        lat.memLatency, lat.branchMispredict);
+    template <typename T>
+    operator T() const;
+};
+
+/** Data members of aggregate @p T: the longest initializer it takes. */
+template <typename T, typename... A>
+constexpr size_t
+memberCount()
+{
+    if constexpr (requires { T{A{}..., AnyField{}}; })
+        return memberCount<T, A..., AnyField>();
+    else
+        return sizeof...(A);
 }
 
-std::string
-tlbKey(const TlbConfig &tlb)
+/** Entries of @p Config's field table. */
+template <typename Config>
+constexpr size_t
+tableSize()
 {
-    if (!tlb.enabled)
-        return "tlb{off}";
-    return csprintf("tlb{%u,%u,%u,%u,%u,%u,%u,%d}", tlb.entries,
-                    tlb.pageBytes, tlb.associativity, tlb.missPenalty,
-                    tlb.l2Entries, tlb.l2Associativity,
-                    tlb.l2HitPenalty, static_cast<int>(tlb.refill));
+    const Config cfg{};
+    size_t n = 0;
+    Config::visitFields(cfg, [&n](const char *, const auto &) {
+        ++n;
+    });
+    return n;
 }
 
-std::string
-memKey(const MemConfig &mem)
+/**
+ * Append "value," for every field-table entry of @p cfg, in table
+ * order; nested configs recurse as "{...}", enums and bools print as
+ * integers. The key is positional (names would make it five times
+ * longer, and every job's store key hashes it), so reordering a table
+ * changes its meaning: bump the tag when doing so.
+ */
+template <typename Config>
+void
+appendFields(std::string &key, const Config &cfg)
 {
-    return csprintf(
-        "mem{%d,%u,%d,%u,%u,%u,%u,%d,%u,%u,%u,%u,%u,%s}",
-        static_cast<int>(mem.model), mem.memUnits,
-        static_cast<int>(mem.lsPolicy), mem.banks, mem.addressPorts,
-        mem.bankBusyCycles, mem.interleaveBytes,
-        static_cast<int>(mem.backing), mem.cacheBytes, mem.lineBytes,
-        mem.associativity, mem.mshrs, mem.cacheHitLatency,
-        tlbKey(mem.tlb).c_str());
+    // A knob missing from the table would alias the store entries
+    // of runs that differ only in it.
+    static_assert(tableSize<Config>() == memberCount<Config>(),
+                  "a config data member is missing from visitFields()");
+    Config::visitFields(cfg, [&key](const char *, const auto &v) {
+        if constexpr (std::is_class_v<std::decay_t<decltype(v)>>) {
+            key += '{';
+            appendFields(key, v);
+            key += '}';
+        } else {
+            key += std::to_string(static_cast<long long>(v));
+        }
+        key += ',';
+    });
 }
 
-// END config-key fields
+template <typename Config>
+std::string
+fieldKey(std::string key, const Config &cfg)
+{
+    appendFields(key, cfg);
+    return key;
+}
 
 } // namespace
 
 std::string
 sweepConfigKey(const RefConfig &cfg)
 {
-    // BEGIN config-key fields
-    return csprintf("REF/v1|%s|%d,%d,%u,%d,%d|%s",
-                    latKey(cfg.lat).c_str(),
-                    static_cast<int>(cfg.modelPortConflicts),
-                    static_cast<int>(cfg.chainLoadsToFus),
-                    cfg.takenBranchPenalty,
-                    static_cast<int>(cfg.cpiStack),
-                    static_cast<int>(cfg.telemetry),
-                    memKey(cfg.mem).c_str());
-    // END config-key fields
+    return fieldKey("REF/v2|", cfg);
 }
 
 std::string
 sweepConfigKey(const OooConfig &cfg)
 {
-    // BEGIN config-key fields
-    return csprintf(
-        "OOO/v1|%s|%u,%u,%u,%u|%u,%u,%u,%u,%u,%u|%d,%d,%d,%u,%d,%d|%s",
-        latKey(cfg.lat).c_str(), cfg.numPhysVRegs, cfg.numPhysARegs,
-        cfg.numPhysSRegs, cfg.numPhysMRegs, cfg.queueSize,
-        cfg.robSize, cfg.commitWidth, cfg.fetchBufferSize,
-        cfg.btbEntries, cfg.rasDepth, static_cast<int>(cfg.commit),
-        static_cast<int>(cfg.loadElim),
-        static_cast<int>(cfg.chainLoadsToFus), cfg.trapPenalty,
-        static_cast<int>(cfg.cpiStack),
-        static_cast<int>(cfg.telemetry), memKey(cfg.mem).c_str());
-    // END config-key fields
+    return fieldKey("OOO/v2|", cfg);
 }
 
 SweepJob
@@ -102,36 +105,24 @@ refJob(std::string trace, RefConfig cfg)
 SweepJob
 oooJob(std::string trace, OooConfig cfg)
 {
-    // A tracing run has an observation side effect (the tracer's
-    // event stream), so serving it from the store would lose the
-    // very output the caller asked for: mark it uncacheable.
-    std::string key =
-        cfg.pipeTracer ? std::string() : sweepConfigKey(cfg);
     return {std::move(trace),
             [cfg](const Trace &t) { return simulateOoo(t, cfg); },
-            nullptr, std::move(key)};
+            nullptr, sweepConfigKey(cfg)};
 }
 
 SweepJob
 oooTraceJob(std::shared_ptr<const Trace> trace, OooConfig cfg)
 {
-    SweepJob job;
-    job.trace = trace->name();
-    job.run = [cfg](const Trace &t) { return simulateOoo(t, cfg); };
+    SweepJob job = oooJob(trace->name(), cfg);
     job.inlineTrace = std::move(trace);
-    if (!cfg.pipeTracer)
-        job.configKey = sweepConfigKey(cfg);
     return job;
 }
 
 SweepJob
 refTraceJob(std::shared_ptr<const Trace> trace, RefConfig cfg)
 {
-    SweepJob job;
-    job.trace = trace->name();
-    job.run = [cfg](const Trace &t) { return simulateRef(t, cfg); };
+    SweepJob job = refJob(trace->name(), cfg);
     job.inlineTrace = std::move(trace);
-    job.configKey = sweepConfigKey(cfg);
     return job;
 }
 
@@ -186,15 +177,19 @@ std::vector<JobOutcome>
 SweepEngine::runBackend(const std::vector<SweepJob> &jobs,
                         size_t served, size_t total) const
 {
+    // The backend reports jobs as they finish; the engine alone
+    // keeps the count. The callback refers to this call's count, so
+    // it is replaced before every batch.
+    std::atomic<size_t> done{served};
+    std::function<void(size_t)> report;
     if (progress_) {
         if (served)
             progress_(served, total);
-        backend_->setProgress([this, served, total](size_t d, size_t) {
-            progress_(served + d, total);
-        });
-    } else {
-        backend_->setProgress({});
+        report = [this, &done, total](size_t n) {
+            progress_(done += n, total);
+        };
     }
+    backend_->setProgress(std::move(report));
     if (jobs.empty())
         return {};
     return backend_->run(jobs);
@@ -205,7 +200,7 @@ SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
 {
     std::vector<JobOutcome> out(jobs.size());
     // Jobs sent to the backend: the first of each distinct key, and
-    // every uncacheable job (prefetch dummies, traced runs).
+    // every uncacheable job (prefetch dummies).
     std::vector<SweepJob> sent;
     std::vector<std::string> sentKeys;
     std::vector<size_t> sentIdx;
@@ -284,6 +279,20 @@ SweepEngine::prefetch(const std::vector<std::string> &names) const
                         [](const Trace &) { return SimResult{}; },
                         nullptr, std::string()});
     run(jobs);
+}
+
+size_t
+JobSet::add(SweepJob job)
+{
+    if (!job.configKey.empty()) {
+        auto [it, fresh] = index_.try_emplace(
+            {job.trace, job.inlineTrace.get(), job.configKey},
+            jobs_.size());
+        if (!fresh)
+            return it->second;
+    }
+    jobs_.push_back(std::move(job));
+    return jobs_.size() - 1;
 }
 
 void

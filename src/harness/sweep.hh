@@ -20,8 +20,10 @@
 #define OOVA_HARNESS_SWEEP_HH
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -57,18 +59,15 @@ struct SweepJob
      * Canonical serialization of the complete machine configuration,
      * produced by sweepConfigKey(); together with the trace content
      * hash and scale it addresses this job's result in the
-     * ResultStore. Empty means uncacheable (prefetch dummies, jobs
-     * with observation side effects such as pipeline tracing).
+     * ResultStore. Empty means uncacheable (prefetch dummies).
      */
     std::string configKey;
 };
 
 /**
- * Canonical config-key strings: every field that can influence a
- * simulation result, enumerated explicitly (lint_oova.py checks the
- * enumeration stays complete as configs grow). checkLevel is
- * deliberately excluded — the invariant audit observes, it never
- * steers results.
+ * Canonical config-key strings, derived from the configs' field
+ * tables (visitFields()): every data member, nested configs
+ * included. A member missing from its table fails the build.
  */
 std::string sweepConfigKey(const RefConfig &cfg);
 std::string sweepConfigKey(const OooConfig &cfg);
@@ -208,7 +207,7 @@ class SweepEngine
 
   private:
     /**
-     * Run @p jobs on the backend, its progress reported on top of
+     * Run @p jobs on the backend, counting its progress on top of
      * @p served jobs of a @p total -job batch already answered.
      */
     std::vector<JobOutcome> runBackend(const std::vector<SweepJob> &jobs,
@@ -241,13 +240,13 @@ class SweepEngine
 class JobSet
 {
   public:
-    /** Append a job; returns its index for later lookup. */
-    size_t
-    add(SweepJob job)
-    {
-        jobs_.push_back(std::move(job));
-        return jobs_.size() - 1;
-    }
+    /**
+     * Append a job; returns its index for later lookup. A repeat of
+     * a cacheable job (same trace name, inline trace and configKey)
+     * is not appended again: it gets the first one's index, so cells
+     * that name one machine read one result.
+     */
+    size_t add(SweepJob job);
 
     /** Execute everything added so far. */
     void run(const SweepEngine &engine);
@@ -257,6 +256,8 @@ class JobSet
 
   private:
     std::vector<SweepJob> jobs_;
+    std::map<std::tuple<std::string, const Trace *, std::string>, size_t>
+        index_;
     std::vector<SimResult> results_;
 };
 

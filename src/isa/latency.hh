@@ -31,6 +31,27 @@ struct LatencyTable
     unsigned memLatency = 50;     ///< main memory latency (swept)
     unsigned branchMispredict = 3;///< REF taken-branch / OOOVA redirect
 
+    /**
+     * The field table: calls @p f(name, member) once per data member
+     * of @p t, const or not. The sweep's config key is derived from
+     * it, and the build fails when a data member is missing here.
+     */
+    template <typename Self, typename F>
+    static constexpr void
+    visitFields(Self &t, F &&f)
+    {
+        f("readXbar", t.readXbar);
+        f("writeXbarVector", t.writeXbarVector);
+        f("writeXbarScalar", t.writeXbarScalar);
+        f("vectorStartup", t.vectorStartup);
+        f("moveLat", t.moveLat);
+        f("addLogic", t.addLogic);
+        f("mul", t.mul);
+        f("divSqrt", t.divSqrt);
+        f("memLatency", t.memLatency);
+        f("branchMispredict", t.branchMispredict);
+    }
+
     /** Execution latency of an op, excluding crossbars and memory. */
     unsigned
     opLatency(Opcode op) const
@@ -51,7 +72,7 @@ struct LatencyTable
     }
 
     /** The defaults used for the reference (in-order) machine. */
-    static LatencyTable
+    static constexpr LatencyTable
     refDefaults()
     {
         LatencyTable t;
@@ -60,7 +81,7 @@ struct LatencyTable
     }
 
     /** The defaults used for the OOOVA. */
-    static LatencyTable
+    static constexpr LatencyTable
     oooDefaults()
     {
         LatencyTable t;

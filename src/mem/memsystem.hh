@@ -127,6 +127,27 @@ struct MemConfig
      */
     TlbConfig tlb;
 
+    /** The field table, as LatencyTable::visitFields(). */
+    template <typename Self, typename F>
+    static constexpr void
+    visitFields(Self &c, F &&f)
+    {
+        f("model", c.model);
+        f("memUnits", c.memUnits);
+        f("lsPolicy", c.lsPolicy);
+        f("banks", c.banks);
+        f("addressPorts", c.addressPorts);
+        f("bankBusyCycles", c.bankBusyCycles);
+        f("interleaveBytes", c.interleaveBytes);
+        f("backing", c.backing);
+        f("cacheBytes", c.cacheBytes);
+        f("lineBytes", c.lineBytes);
+        f("associativity", c.associativity);
+        f("mshrs", c.mshrs);
+        f("cacheHitLatency", c.cacheHitLatency);
+        f("tlb", c.tlb);
+    }
+
     /**
      * Config suffix appended to machine names, e.g. "/mb8p1",
      * "/mb8p1x2" (two shared units), "/mb8p1x2s" (split load/store

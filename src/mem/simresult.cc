@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "mem/memsystem.hh"
 
 namespace oova
 {
@@ -563,6 +564,23 @@ SimResult::fromJson(std::string_view json, SimResult &out)
         return false;
     out = std::move(r);
     return true;
+}
+
+void
+recordMemStats(const MemStats &stats, SimResult &res)
+{
+    res.memRequests = stats.requests;
+    res.memBankConflicts = stats.bankConflicts;
+    res.memConflictCycles = stats.conflictCycles;
+    res.memIndexedConflicts = stats.indexedConflicts;
+    res.memIndexedConflictCycles = stats.indexedConflictCycles;
+    res.cacheHits = stats.cacheHits;
+    res.cacheMisses = stats.cacheMisses;
+    res.mshrStallCycles = stats.mshrStallCycles;
+    res.tlbHits = stats.tlbHits;
+    res.tlbMisses = stats.tlbMisses;
+    res.tlbIndexedMisses = stats.tlbIndexedMisses;
+    res.tlbMissCycles = stats.tlbMissCycles;
 }
 
 } // namespace oova

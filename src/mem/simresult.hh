@@ -307,6 +307,11 @@ struct SimResult
     }
 };
 
+struct MemStats;
+
+/** Copy a run's memory-system counters into @p res. */
+void recordMemStats(const MemStats &stats, SimResult &res);
+
 } // namespace oova
 
 #endif // OOVA_MEM_SIMRESULT_HH

@@ -129,6 +129,22 @@ struct TlbConfig
 
     TlbRefill refill = TlbRefill::HardwareWalk;
 
+    /** The field table, as LatencyTable::visitFields(). */
+    template <typename Self, typename F>
+    static constexpr void
+    visitFields(Self &c, F &&f)
+    {
+        f("enabled", c.enabled);
+        f("entries", c.entries);
+        f("pageBytes", c.pageBytes);
+        f("associativity", c.associativity);
+        f("missPenalty", c.missPenalty);
+        f("l2Entries", c.l2Entries);
+        f("l2Associativity", c.l2Associativity);
+        f("l2HitPenalty", c.l2HitPenalty);
+        f("refill", c.refill);
+    }
+
     /**
      * Config suffix appended to the memory-model label, e.g.
      * "/t64e4k" (64 entries, 4 KiB pages), "/t16e4ka2" (2-way),

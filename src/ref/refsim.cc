@@ -57,7 +57,7 @@ struct VRegState
 class RefMachine
 {
   public:
-    RefMachine(const Trace &trace, const RefConfig &cfg)
+    RefMachine(const Trace &trace, const RefConfig &cfg, int checkLevel)
         : trace_(trace), cfg_(cfg), lat_(cfg.lat),
           mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency)),
           memUnitFree_(std::max(cfg.mem.memUnits, 1u), 0)
@@ -68,11 +68,7 @@ class RefMachine
         for (auto &bank : readPortFree_)
             bank.fill(0);
         writePortFree_.fill(0);
-        check::CheckLevel lvl =
-            cfg.checkLevel >= 0
-                ? static_cast<check::CheckLevel>(
-                      std::min(cfg.checkLevel, 2))
-                : check::levelFromEnv();
+        check::CheckLevel lvl = check::resolveLevel(checkLevel);
         checkRetire_ = lvl >= check::CheckLevel::Retire;
         checkFull_ = lvl >= check::CheckLevel::Full;
         if (telemetry_)
@@ -524,18 +520,7 @@ RefMachine::run()
     res.fu1BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu1);
     res.fu2BusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Fu2);
     res.memBusyCycles = unitStates_.busyCycles(UnitStateBreakdown::Mem);
-    res.memRequests = mem_->stats().requests;
-    res.memBankConflicts = mem_->stats().bankConflicts;
-    res.memConflictCycles = mem_->stats().conflictCycles;
-    res.memIndexedConflicts = mem_->stats().indexedConflicts;
-    res.memIndexedConflictCycles = mem_->stats().indexedConflictCycles;
-    res.cacheHits = mem_->stats().cacheHits;
-    res.cacheMisses = mem_->stats().cacheMisses;
-    res.mshrStallCycles = mem_->stats().mshrStallCycles;
-    res.tlbHits = mem_->stats().tlbHits;
-    res.tlbMisses = mem_->stats().tlbMisses;
-    res.tlbIndexedMisses = mem_->stats().tlbIndexedMisses;
-    res.tlbMissCycles = mem_->stats().tlbMissCycles;
+    recordMemStats(mem_->stats(), res);
     res.stallCycles = stallCycles_;
     res.cpiCycles = cpiCycles_;
     res.occupancy = occ;
@@ -547,9 +532,9 @@ RefMachine::run()
 } // namespace
 
 SimResult
-simulateRef(const Trace &trace, const RefConfig &cfg)
+simulateRef(const Trace &trace, const RefConfig &cfg, int checkLevel)
 {
-    RefMachine machine(trace, cfg);
+    RefMachine machine(trace, cfg, checkLevel);
     return machine.run();
 }
 

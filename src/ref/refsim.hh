@@ -46,7 +46,7 @@ struct RefConfig
      * section 2.1), and our generator does not perform that
      * port-aware allocation, so charging the conflicts to REF would
      * penalize it for stalls the real machine never saw. The
-     * bench/abl_ports ablation turns this on to quantify what
+     * `oova_bench abl` ablation turns this on to quantify what
      * port-oblivious allocation would cost.
      */
     bool modelPortConflicts = false;
@@ -56,14 +56,6 @@ struct RefConfig
 
     /** Pipeline depth charged on taken branches. */
     unsigned takenBranchPenalty = 3;
-
-    /**
-     * Invariant-audit level (src/check/), mirroring
-     * OooConfig::checkLevel: -1 inherits OOVA_CHECK; 0/1/2 force.
-     * REF audits its memory system and TLB; checkers are
-     * observe-only and never change simulated timing.
-     */
-    int checkLevel = -1;
 
     /**
      * Cycle accounting (CPI stack), mirroring OooConfig::cpiStack:
@@ -86,10 +78,29 @@ struct RefConfig
      * result's machine label, e.g. "REF/mb8p1".
      */
     MemConfig mem;
+
+    /** The field table, as LatencyTable::visitFields(). */
+    template <typename Self, typename F>
+    static constexpr void
+    visitFields(Self &c, F &&f)
+    {
+        f("lat", c.lat);
+        f("modelPortConflicts", c.modelPortConflicts);
+        f("chainLoadsToFus", c.chainLoadsToFus);
+        f("takenBranchPenalty", c.takenBranchPenalty);
+        f("cpiStack", c.cpiStack);
+        f("telemetry", c.telemetry);
+        f("mem", c.mem);
+    }
 };
 
-/** Run @p trace through the reference machine. */
-SimResult simulateRef(const Trace &trace, const RefConfig &cfg = {});
+/**
+ * Run @p trace through the reference machine. @p checkLevel is the
+ * invariant-audit level (check::resolveLevel()); REF audits its
+ * memory system and TLB, and the audit never changes the result.
+ */
+SimResult simulateRef(const Trace &trace, const RefConfig &cfg = {},
+                      int checkLevel = -1);
 
 } // namespace oova
 

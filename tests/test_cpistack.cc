@@ -120,16 +120,11 @@ TEST(CpiStack, ObservabilityIsObserveOnly)
         for (const char *prog : {"hydro2d", "nasa7"}) {
             const Trace &t = w.get(prog);
             cfg.cpiStack = false;
-            cfg.checkLevel = 0;
-            cfg.pipeTracer = nullptr;
-            SimResult off = simulateOoo(t, cfg);
+            SimResult off = simulateOoo(t, cfg, {}, 0);
 
             PipeTracer tracer;
             cfg.cpiStack = true;
-            cfg.checkLevel = 2;
-            cfg.pipeTracer = &tracer;
-            SimResult on = simulateOoo(t, cfg);
-            cfg.pipeTracer = nullptr;
+            SimResult on = simulateOoo(t, cfg, {}, 2, &tracer);
 
             EXPECT_EQ(off.cycles, on.cycles) << prog;
             EXPECT_EQ(off.instructions, on.instructions) << prog;

@@ -145,21 +145,16 @@ TEST(Determinism, InvariantAuditIsObserveOnly)
     // single result field nor find a violation on any sweep config.
     check::resetProcessViolations();
     TraceCache w(kScale);
-    for (auto cfg : sweepConfigs()) {
+    for (const auto &cfg : sweepConfigs()) {
         for (const char *prog : {"hydro2d", "nasa7"}) {
             const Trace &t = w.get(prog);
-            cfg.checkLevel = 0;
-            SimResult off = simulateOoo(t, cfg);
-            cfg.checkLevel = 2;
-            SimResult on = simulateOoo(t, cfg);
+            SimResult off = simulateOoo(t, cfg, {}, 0);
+            SimResult on = simulateOoo(t, cfg, {}, 2);
             expectSameResult(off, on);
         }
     }
-    RefConfig rc;
-    rc.checkLevel = 0;
-    SimResult ref_off = simulateRef(w.get("hydro2d"), rc);
-    rc.checkLevel = 2;
-    SimResult ref_on = simulateRef(w.get("hydro2d"), rc);
+    SimResult ref_off = simulateRef(w.get("hydro2d"), {}, 0);
+    SimResult ref_on = simulateRef(w.get("hydro2d"), {}, 2);
     expectSameResult(ref_off, ref_on);
     EXPECT_EQ(check::processViolationCount(), 0u);
     check::resetProcessViolations();

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/pipetrace.hh"
 #include "harness/backend.hh"
 #include "harness/experiment.hh"
 #include "harness/figure.hh"
@@ -288,20 +287,10 @@ TEST(SweepMemo, UncacheableJobsAlwaysRun)
         {"trfd", [](const Trace &) { return SimResult{}; }, nullptr,
          std::string()},
         calls);
-    // A pipeline-traced run: its tracer output is the point, so its
-    // key is empty.
-    PipeTracer tracer;
-    OooConfig cfg = makeOooConfig(16, 16, 50);
-    cfg.pipeTracer = &tracer;
-    SweepJob traced = counted(oooJob("trfd", cfg), calls);
-    ASSERT_TRUE(traced.configKey.empty());
 
     engine.run({dummy, dummy});
     engine.run({dummy, dummy});
     EXPECT_EQ(calls.load(), 4u);
-    engine.run({traced});
-    engine.run({traced});
-    EXPECT_EQ(calls.load(), 6u);
 }
 
 TEST(SweepMemo, DuplicatesGiveSameResultsAtOneAndEightThreads)
@@ -646,6 +635,23 @@ TEST(FigureRegistry, NoFigureSubmitsAJobTwice)
             EXPECT_FALSE(job.cached) << fig.name << ": " << job.program
                                      << " on " << job.machine;
     }
+}
+
+TEST(FigureRegistry, AllFiguresOnOneEngineShareTheirJobs)
+{
+    // Every figure on one engine, as `oova_bench all` runs them. A
+    // config key that split one machine in two, or merged two into
+    // one, would move these counts.
+    TraceCache traces(0.25);
+    SweepEngine engine(traces, 4);
+    engine.enableManifest();
+    for (const FigureDef &fig : figureRegistry())
+        fig.fn(engine);
+    size_t simulated = 0;
+    for (const JobRecord &job : engine.manifest())
+        simulated += !job.cached;
+    EXPECT_EQ(engine.manifest().size(), 918u);
+    EXPECT_EQ(simulated, 558u);
 }
 
 TEST(FigureJson, ManifestEnvelopeIsSchemaV5)

@@ -52,9 +52,7 @@ TEST(PipeTrace, OneRecordPerInstructionWithinLimit)
     TraceCache w(kScale);
     const Trace &t = w.get("hydro2d");
     PipeTracer tracer;
-    OooConfig cfg = makeOooConfig();
-    cfg.pipeTracer = &tracer;
-    SimResult r = simulateOoo(t, cfg);
+    SimResult r = simulateOoo(t, makeOooConfig(), {}, -1, &tracer);
     tracer.finish();
 
     // No traps on this run, so fetch count equals instruction
@@ -72,9 +70,7 @@ TEST(PipeTrace, LimitBoundsTheTrace)
 {
     TraceCache w(kScale);
     PipeTracer tracer(100);
-    OooConfig cfg = makeOooConfig();
-    cfg.pipeTracer = &tracer;
-    simulateOoo(w.get("hydro2d"), cfg);
+    simulateOoo(w.get("hydro2d"), makeOooConfig(), {}, -1, &tracer);
     tracer.finish();
     EXPECT_EQ(tracer.recorded(), 100u);
     EXPECT_EQ(countLines(tracer.str(), "O3PipeView:fetch:"), 100u);
@@ -89,10 +85,9 @@ TEST(PipeTrace, SquashedReplayGetsZeroRetireTick)
 
     PipeTracer tracer;
     OooConfig cfg = makeOooConfig(16, 16, 50, CommitMode::Late);
-    cfg.pipeTracer = &tracer;
     FaultInjection fault;
     fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, cfg, fault);
+    SimResult r = simulateOoo(t, cfg, fault, -1, &tracer);
     tracer.finish();
 
     ASSERT_EQ(r.traps, 1u);
@@ -112,9 +107,14 @@ TEST(PipeTrace, IndependentOfSweepThreadCount)
         std::vector<SweepJob> jobs;
         for (const char *prog : {"nasa7", "swm256", "trfd"})
             jobs.push_back(oooJob(prog, makeOooConfig()));
-        OooConfig cfg = makeOooConfig();
-        cfg.pipeTracer = &tracer;
-        jobs.push_back(oooJob("hydro2d", cfg));
+        // Uncacheable (no configKey): the tracer's output is the
+        // point of the run.
+        jobs.push_back({"hydro2d",
+                        [&tracer](const Trace &t) {
+                            return simulateOoo(t, makeOooConfig(), {},
+                                               -1, &tracer);
+                        },
+                        nullptr, std::string()});
         SweepEngine engine(traces, threads);
         engine.run(jobs);
         tracer.finish();
@@ -133,8 +133,7 @@ TEST(PipeTrace, TracingIsObserveOnly)
     OooConfig cfg = makeOooConfig();
     SimResult off = simulateOoo(t, cfg);
     PipeTracer tracer;
-    cfg.pipeTracer = &tracer;
-    SimResult on = simulateOoo(t, cfg);
+    SimResult on = simulateOoo(t, cfg, {}, -1, &tracer);
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.instructions, on.instructions);
     EXPECT_EQ(off.stallCycles, on.stallCycles);

@@ -33,7 +33,7 @@ namespace
  * retrying (and re-renaming) every cycle until a slot frees.
  */
 OooConfig
-rerenameCfg(int check_level)
+rerenameCfg()
 {
     OooConfig c;
     c.loadElim = LoadElimMode::SleVle;
@@ -41,7 +41,6 @@ rerenameCfg(int check_level)
     c.queueSize = 2;
     c.numPhysVRegs = 32;
     c.lat.memLatency = 200;
-    c.checkLevel = check_level;
     return c;
 }
 
@@ -69,14 +68,14 @@ TEST(ReRename, StallPathIsExercised)
 {
     // The scenario only regression-tests the re-rename if the Dep
     // stage actually stalls on a full V queue.
-    SimResult r = simulateOoo(rerenameTrace(), rerenameCfg(0));
+    SimResult r = simulateOoo(rerenameTrace(), rerenameCfg(), {}, 0);
     EXPECT_GT(r.queueStallCycles, 0u);
 }
 
 TEST(ReRename, FullAuditIsViolationFree)
 {
     check::resetProcessViolations();
-    SimResult r = simulateOoo(rerenameTrace(), rerenameCfg(2));
+    SimResult r = simulateOoo(rerenameTrace(), rerenameCfg(), {}, 2);
     EXPECT_GT(r.queueStallCycles, 0u);
     // Every checker family runs (wakeup-dst-refs, the conservation
     // checker with the orphaned-claims ledger, the calendar bound,
@@ -89,8 +88,8 @@ TEST(ReRename, FullAuditIsViolationFree)
 TEST(ReRename, AuditIsObserveOnly)
 {
     check::resetProcessViolations();
-    SimResult off = simulateOoo(rerenameTrace(), rerenameCfg(0));
-    SimResult on = simulateOoo(rerenameTrace(), rerenameCfg(2));
+    SimResult off = simulateOoo(rerenameTrace(), rerenameCfg(), {}, 0);
+    SimResult on = simulateOoo(rerenameTrace(), rerenameCfg(), {}, 2);
     EXPECT_EQ(check::processViolationCount(), 0u);
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.instructions, on.instructions);
@@ -116,9 +115,9 @@ TEST(ReRename, AuditStaysCleanAcrossBenchmarks)
     small.scale = 0.05;
     for (const char *name : {"swm256", "tomcatv"}) {
         Trace t = makeBenchmarkTrace(name, small);
-        OooConfig c = rerenameCfg(2);
+        OooConfig c = rerenameCfg();
         c.queueSize = 4;
-        SimResult r = simulateOoo(t, c);
+        SimResult r = simulateOoo(t, c, {}, 2);
         EXPECT_GT(r.cycles, 0u) << name;
     }
     EXPECT_EQ(check::processViolationCount(), 0u);

@@ -13,14 +13,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/pipetrace.hh"
 #include "harness/backend.hh"
 #include "harness/experiment.hh"
 #include "harness/figure.hh"
@@ -416,41 +417,74 @@ TEST(ResultStoreKey, StableAndSensitive)
     EXPECT_NE(base, ResultStore::makeKey(0x1234, "OOO/v1|x", 0.5));
 }
 
+/**
+ * Calls @p f(name, member) for every entry of @p cfg's field table,
+ * nested configs flattened into their own entries.
+ */
+template <typename Config, typename F>
+void
+visitLeaves(Config &cfg, F &&f)
+{
+    Config::visitFields(cfg, [&f](const char *name, auto &v) {
+        if constexpr (std::is_class_v<std::decay_t<decltype(v)>>)
+            visitLeaves(v, f);
+        else
+            f(name, v);
+    });
+}
+
+/**
+ * Perturb each field-table entry of @p base in turn (nested configs
+ * included) and expect every perturbation to move the key.
+ */
+template <typename Config>
+void
+expectEveryFieldKeyed(const Config &base)
+{
+    const std::string key = sweepConfigKey(base);
+    Config probe = base;
+    std::set<const void *> members;
+    size_t entries = 0;
+    visitLeaves(probe, [&](const char *, auto &v) {
+        members.insert(&v);
+        ++entries;
+    });
+    // Each entry names its own member: no copy-pasted entry leaves
+    // another member out of the key.
+    EXPECT_EQ(members.size(), entries);
+    EXPECT_GT(entries, 30u);
+
+    for (size_t i = 0; i < entries; ++i) {
+        Config cfg = base;
+        size_t n = 0;
+        std::string field;
+        visitLeaves(cfg, [&](const char *name, auto &v) {
+            if (n++ != i)
+                return;
+            field = name;
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, bool>)
+                v = !v;
+            else if constexpr (std::is_enum_v<T>)
+                v = static_cast<T>(
+                    static_cast<std::underlying_type_t<T>>(v) + 1);
+            else
+                ++v;
+        });
+        EXPECT_NE(sweepConfigKey(cfg), key) << field;
+    }
+}
+
 TEST(ResultStoreKey, ConfigKeyCoversResultAffectingKnobs)
 {
-    OooConfig a = makeOooConfig();
-    OooConfig b = makeOooConfig();
-    EXPECT_EQ(sweepConfigKey(a), sweepConfigKey(b));
-
-    // Knobs that change results must change the key...
-    b.cpiStack = true;
-    EXPECT_NE(sweepConfigKey(a), sweepConfigKey(b));
-    b = makeOooConfig();
-    b.lat.memLatency = 51;
-    EXPECT_NE(sweepConfigKey(a), sweepConfigKey(b));
-    b = makeOooConfig();
-    b.mem.tlb = makeTlb(64);
-    EXPECT_NE(sweepConfigKey(a), sweepConfigKey(b));
-
-    // ...while the observe-only audit level must not: forcing the
-    // audit on is exactly how the determinism suite proves results
-    // are unchanged, so it shares the cache line with audit-off runs.
-    b = makeOooConfig();
-    b.checkLevel = 2;
-    EXPECT_EQ(sweepConfigKey(a), sweepConfigKey(b));
+    EXPECT_EQ(sweepConfigKey(makeOooConfig()),
+              sweepConfigKey(makeOooConfig()));
+    expectEveryFieldKeyed(makeOooConfig());
+    expectEveryFieldKeyed(makeRefConfig(50));
 
     // REF and OOOVA keys can never collide.
     EXPECT_NE(sweepConfigKey(RefConfig{}),
               sweepConfigKey(OooConfig{}));
-}
-
-TEST(ResultStoreKey, PipeTracedJobsAreUncacheable)
-{
-    OooConfig cfg = makeOooConfig();
-    EXPECT_FALSE(oooJob("hydro2d", cfg).configKey.empty());
-    PipeTracer tracer(16);
-    cfg.pipeTracer = &tracer;
-    EXPECT_TRUE(oooJob("hydro2d", cfg).configKey.empty());
 }
 
 TEST(ResultStoreKey, TraceContentHashTracksContent)
