@@ -2,10 +2,11 @@
  * @file
  * Simulator-throughput microbenchmarks (google-benchmark): how many
  * simulated instructions per second each model sustains, plus the
- * cost of trace generation and of a whole sweep batch through the
- * parallel sweep engine, and of the SimResult JSON round trip every
- * result-store hit pays. These guard against performance regressions
- * in the simulators and in the sweep path every figure runs on.
+ * cost of trace generation, of hashing a trace for its result-store
+ * key, of a whole sweep batch through the parallel sweep engine, and
+ * of the SimResult JSON round trip every result-store hit pays. These
+ * guard against performance regressions in the simulators and in the
+ * sweep path every figure runs on.
  * scripts/bench_speed.sh records them in BENCH_simspeed.json.
  */
 
@@ -16,6 +17,7 @@
 #include "harness/sweep.hh"
 #include "ref/refsim.hh"
 #include "tgen/benchmarks.hh"
+#include "trace/trace_io.hh"
 
 using namespace oova;
 
@@ -140,6 +142,23 @@ BM_SweepEngine(benchmark::State &state)
 // Real time, not CPU time: the engine's worker threads do the work,
 // so the main thread's CPU time would overstate throughput wildly.
 BENCHMARK(BM_SweepEngine)->Arg(1)->Arg(4)->UseRealTime();
+
+/**
+ * Hashing a whole trace (instructions hashed per second): the trace
+ * half of every result-store key, paid once per trace per process.
+ */
+static void
+BM_TraceContentHash(benchmark::State &state)
+{
+    const Trace &t = cachedTrace();
+    for (auto _ : state) {
+        uint64_t h = traceContentHash(t);
+        benchmark::DoNotOptimize(h);
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * t.size()));
+}
+BENCHMARK(BM_TraceContentHash);
 
 /** Writing one result record: the cost of every store write. */
 static void

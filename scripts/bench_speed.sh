@@ -5,7 +5,9 @@
 # The source is the google-benchmark binary build/simspeed:
 # single-simulation throughput per model (BM_OooSim/16 on hydro2d is
 # the headline number perf PRs are judged by), the sweep-engine batch
-# path every figure runs on (BM_SweepEngine/<threads>), and
+# path every figure runs on (BM_SweepEngine/<threads>), the trace
+# content hash of every result-store key (BM_TraceContentHash,
+# instructions hashed per second), and
 # BM_SimResult{To,From}Json, SimResult records serialized/parsed per
 # second, recorded under "serialize_results_per_sec" — the cost of
 # every store hit. Each benchmark runs 5 repetitions, interleaved in

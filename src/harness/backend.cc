@@ -194,7 +194,9 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
         // always go to the inner backend.
         std::string key;
         if (!job.configKey.empty()) {
-            key = resultKey(traces_, job, inlineHashes);
+            key = job.storeKey.empty()
+                      ? resultKey(traces_, job, inlineHashes)
+                      : job.storeKey;
             uint64_t loadStartUs =
                 traceLog_ ? traceLog_->nowUs() : 0;
             if (store_.load(key, out[i].result)) {

@@ -130,11 +130,11 @@ class InProcessBackend : public SweepBackend
 
 /**
  * Content-addressed caching decorator: keys every cacheable job
- * (non-empty SweepJob::configKey) through ResultStore::makeKey,
- * serves hits without simulating, runs only the misses through the
- * wrapped backend, and persists their results. Outcomes keep
- * submission order, so a warm store is byte-identical to a cold
- * run.
+ * (non-empty SweepJob::configKey) by its SweepJob::storeKey, deriving
+ * the key through resultKey() only when that is empty, serves hits
+ * without simulating, runs only the misses through the wrapped
+ * backend, and persists their results. Outcomes keep submission
+ * order, so a warm store is byte-identical to a cold run.
  */
 class StoreBackend : public SweepBackend
 {

@@ -93,9 +93,11 @@ ResultStore::makeKey(uint64_t traceHash, const std::string &configKey,
 {
     // Everything that can change a result, in one canonical string.
     // %.17g round-trips every double exactly, so two processes with
-    // the same scale always derive the same key.
+    // the same scale always derive the same key. The tag "tracew"
+    // names the trace hash algorithm: a new algorithm gets a new tag,
+    // so an entry keyed by another trace hash can never be served.
     std::string material =
-        csprintf("schema=%d|trace=%016llx|cfg=%s|scale=%.17g",
+        csprintf("schema=%d|tracew=%016llx|cfg=%s|scale=%.17g",
                  SimResult::kResultSchemaVersion,
                  static_cast<unsigned long long>(traceHash),
                  configKey.c_str(), scale);

@@ -202,7 +202,6 @@ SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
     // Jobs sent to the backend: the first of each distinct key, and
     // every uncacheable job (prefetch dummies).
     std::vector<SweepJob> sent;
-    std::vector<std::string> sentKeys;
     std::vector<size_t> sentIdx;
     // Later duplicates within this batch: (index, position in sent).
     std::vector<std::pair<size_t, size_t>> dups;
@@ -225,7 +224,7 @@ SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
             }
         }
         sent.push_back(jobs[i]);
-        sentKeys.push_back(std::move(key));
+        sent.back().storeKey = std::move(key);
         sentIdx.push_back(i);
     }
 
@@ -237,8 +236,8 @@ SweepEngine::runMemoized(const std::vector<SweepJob> &jobs) const
         out[i].fromStore = true;
     }
     for (size_t s = 0; s < sent.size(); ++s) {
-        if (!sentKeys[s].empty())
-            memo_.emplace(std::move(sentKeys[s]), ran[s].result);
+        if (!sent[s].storeKey.empty())
+            memo_.emplace(std::move(sent[s].storeKey), ran[s].result);
         out[sentIdx[s]] = std::move(ran[s]);
     }
     return out;

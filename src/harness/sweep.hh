@@ -62,6 +62,14 @@ struct SweepJob
      * ResultStore. Empty means uncacheable (prefetch dummies).
      */
     std::string configKey;
+    /**
+     * This job's ResultStore key, resultKey(). SweepEngine derives it
+     * once per cacheable job for its memo and sets it on every job it
+     * sends to its backend, so a StoreBackend need not derive it
+     * again. A StoreBackend derives it only for a job built by hand
+     * that leaves it empty.
+     */
+    std::string storeKey{};
 };
 
 /**
@@ -115,7 +123,8 @@ struct JobRecord
  *
  * The memo keys every cacheable job (non-empty configKey) by its
  * trace's content hash, config key and scale — the ResultStore key,
- * resultKey(). Duplicates within a batch reach the backend once;
+ * resultKey(), derived once per job and sent on as its storeKey.
+ * Duplicates within a batch reach the backend once;
  * repeats of an earlier batch never reach it. Every result is
  * stamped with its own job's trace name as the program label, so
  * jobs over one trace that ask for different labels share one

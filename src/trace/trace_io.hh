@@ -35,12 +35,18 @@ bool loadTrace(Trace &out, std::istream &is);
 bool loadTraceFile(Trace &out, const std::string &path);
 
 /**
- * 64-bit FNV-1a hash of the trace's serialized byte stream — the
- * exact bytes saveTrace() would write, including the format
- * magic/version and the trace name. Two traces hash equal iff their
- * serialized forms are identical, and a trace-format version bump
- * changes every hash; this is the trace half of the result-store
- * key.
+ * XXH64 (the 64-bit xxHash algorithm, seed 0) of the trace's
+ * serialized byte stream — the exact bytes saveTrace() writes,
+ * format magic/version and trace name included, produced by the same
+ * record encoder. The hash reads those bytes as little-endian 64-bit
+ * words, so it is a function of the serialized format alone and the
+ * same on any host: two traces hash equal iff their serialized forms
+ * are identical (up to 64-bit collisions), and a trace-format
+ * version bump changes every hash. This is the trace half of the
+ * result-store key (ResultStore::makeKey() tags it `tracew=`);
+ * entries stored under the earlier byte-serial FNV-1a hash (tagged
+ * `trace=`) are never looked up again, so an existing store misses
+ * once per entry and is refilled.
  */
 uint64_t traceContentHash(const Trace &trace);
 

@@ -851,3 +851,35 @@ TEST(StoreBackend, UncacheableJobsBypassTheStore)
     StoreStats s = store.stats();
     EXPECT_EQ(s.hits + s.misses + s.stores, 0u);
 }
+
+TEST(StoreBackend, FilesResultsUnderTheEnginesKey)
+{
+    // The engine derives each cacheable job's key once, for its
+    // memo, and sends it on as the job's storeKey; the store files
+    // the result under that key without deriving its own.
+    TempDir dir("storekey");
+    TraceCache traces(kScale);
+    SweepJob job = oooTraceJob(syntheticTrace("keyed", 2),
+                               makeOooConfig(16, 16, 50));
+    std::unordered_map<const Trace *, uint64_t> inlineHashes;
+    const std::string derived = resultKey(traces, job, inlineHashes);
+    ResultStore store(dir.path());
+    SimResult r;
+
+    SweepEngine(traces,
+                std::make_unique<StoreBackend>(
+                    store, traces,
+                    std::make_unique<InProcessBackend>(traces, 1)))
+        .run({job});
+    EXPECT_TRUE(store.load(derived, r));
+
+    // A key set on the job is the one used.
+    SweepJob given = oooTraceJob(syntheticTrace("given", 2),
+                                 makeOooConfig(16, 16, 50));
+    given.storeKey = ResultStore::makeKey(42, "given", kScale);
+    StoreBackend backend(
+        store, traces, std::make_unique<InProcessBackend>(traces, 1));
+    backend.run({given});
+    EXPECT_TRUE(store.load(given.storeKey, r));
+    EXPECT_FALSE(store.load(resultKey(traces, given, inlineHashes), r));
+}

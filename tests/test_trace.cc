@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for src/trace: the trace container, statistics (the
- * Table 2/3 columns) and binary serialization round-trips.
+ * Table 2/3 columns), binary serialization round-trips and the trace
+ * content hash.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hh"
+#include "synthetic_trace.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
@@ -207,6 +212,23 @@ TEST(TraceIo, RejectsTruncation)
     }
 }
 
+TEST(TraceIo, RejectsACountLargerThanTheStream)
+{
+    // A corrupted record count fails the read of the records it
+    // claims; it does not allocate for them up front.
+    Trace t = smallTrace();
+    std::stringstream ss;
+    ASSERT_TRUE(saveTrace(t, ss));
+    std::string bytes = ss.str();
+    size_t count_off = 8 + 4 + t.name().size();
+    for (int i = 0; i < 8; ++i)
+        bytes[count_off + i] = i == 5 ? 0x01 : 0x00; // 2^40 records
+    std::stringstream bad(bytes);
+    Trace u;
+    EXPECT_FALSE(loadTrace(u, bad));
+    EXPECT_TRUE(u.empty());
+}
+
 TEST(TraceIo, FileRoundTrip)
 {
     Trace t = smallTrace();
@@ -222,4 +244,119 @@ TEST(TraceIo, MissingFileFails)
 {
     Trace u;
     EXPECT_FALSE(loadTraceFile(u, "/nonexistent/path/trace.bin"));
+}
+
+// ------------------------------------------------ trace content hash
+
+namespace
+{
+
+std::string
+savedBytes(const Trace &t)
+{
+    std::stringstream ss;
+    EXPECT_TRUE(saveTrace(t, ss));
+    return ss.str();
+}
+
+/** One gather with every serialized field off its default. */
+DynInst
+everyFieldSet()
+{
+    DynInst inst;
+    inst.pc = 0x4000;
+    inst.op = Opcode::VGather;
+    inst.dst = vReg(3);
+    inst.numSrc = 2;
+    inst.src = {aReg(1), vReg(2), sReg(4)};
+    inst.vl = 48;
+    inst.strideBytes = -16;
+    inst.addr = 0x10000;
+    inst.regionBytes = 4096;
+    inst.elemSize = 4;
+    inst.idxPattern = IndexPattern::Permutation;
+    inst.idxParam = 17;
+    inst.idxSeed = 0x5eed;
+    inst.taken = true;
+    inst.target = 0x4100;
+    inst.isSpill = true;
+    return inst;
+}
+
+} // namespace
+
+TEST(TraceContentHash, PinnedValue)
+{
+    // A literal, so an accidental change to the hash algorithm or
+    // to the record's field order fails here. A deliberate change
+    // must re-pin this value and rename the store key's trace tag
+    // (ResultStore::makeKey), so old entries are never served.
+    EXPECT_EQ(traceContentHash(*syntheticTrace("pinned", 3)),
+              0xdceab2dae3c9ddf4ull);
+    // Under 32 bytes: the hash's short-input path.
+    EXPECT_EQ(traceContentHash(Trace("")), 0x29198af5dd89d196ull);
+}
+
+TEST(TraceContentHash, EveryFieldChangesTheHash)
+{
+    using Mutation = std::pair<const char *, std::function<void(DynInst &)>>;
+    std::vector<Mutation> mutations = {
+        {"pc", [](DynInst &i) { i.pc += 4; }},
+        {"op", [](DynInst &i) { i.op = Opcode::VScatter; }},
+        {"dst.cls", [](DynInst &i) { i.dst.cls = RegClass::S; }},
+        {"dst.idx", [](DynInst &i) { i.dst.idx = 4; }},
+        {"numSrc", [](DynInst &i) { i.numSrc = 3; }},
+        {"vl", [](DynInst &i) { i.vl = 49; }},
+        {"strideBytes", [](DynInst &i) { i.strideBytes = 16; }},
+        {"addr", [](DynInst &i) { i.addr += 8; }},
+        {"regionBytes", [](DynInst &i) { i.regionBytes = 8192; }},
+        {"elemSize", [](DynInst &i) { i.elemSize = 8; }},
+        {"idxPattern",
+         [](DynInst &i) { i.idxPattern = IndexPattern::Random; }},
+        {"idxParam", [](DynInst &i) { i.idxParam = 18; }},
+        {"idxSeed", [](DynInst &i) { i.idxSeed ^= 1ull << 63; }},
+        {"taken", [](DynInst &i) { i.taken = false; }},
+        {"target", [](DynInst &i) { i.target = 0x4200; }},
+        {"isSpill", [](DynInst &i) { i.isSpill = false; }},
+    };
+    for (unsigned k = 0; k < kMaxSrcRegs; ++k) {
+        mutations.push_back({"src.cls", [k](DynInst &i) {
+                                 i.src[k].cls = RegClass::None;
+                             }});
+        mutations.push_back(
+            {"src.idx", [k](DynInst &i) { i.src[k].idx = 5; }});
+    }
+
+    auto hashOf = [](const std::string &name, const DynInst &inst) {
+        Trace t(name);
+        t.push(makeScalar(Opcode::SAdd, aReg(0), aReg(0)));
+        t.push(inst);
+        return traceContentHash(t);
+    };
+    const uint64_t base = hashOf("unit", everyFieldSet());
+    EXPECT_NE(hashOf("unix", everyFieldSet()), base) << "name";
+    for (size_t m = 0; m < mutations.size(); ++m) {
+        DynInst inst = everyFieldSet();
+        mutations[m].second(inst);
+        EXPECT_NE(hashOf("unit", inst), base)
+            << mutations[m].first << " (mutation " << m << ")";
+    }
+}
+
+TEST(TraceContentHash, IsAFunctionOfTheSavedBytes)
+{
+    // Equal saved bytes, equal hash: a trace and its reload are
+    // separate objects with the same serialized form.
+    std::vector<Trace> traces = {smallTrace(),
+                                 *syntheticTrace("synthetic", 40)};
+    Trace withEveryField("every");
+    withEveryField.push(everyFieldSet());
+    traces.push_back(withEveryField);
+    for (const Trace &t : traces) {
+        std::stringstream ss(savedBytes(t));
+        Trace u;
+        ASSERT_TRUE(loadTrace(u, ss)) << t.name();
+        ASSERT_EQ(savedBytes(u), savedBytes(t)) << t.name();
+        EXPECT_EQ(traceContentHash(u), traceContentHash(t)) << t.name();
+    }
 }
